@@ -37,7 +37,10 @@ type Orchestrator struct {
 	Pools    *pools.Manager
 
 	managers map[string]*rgmanager.Manager
-	dbinfo   map[string]rgmanager.DBInfo
+	// models decodes each Naming Service version of the model XML once
+	// for every RgManager and the Population Manager.
+	models *models.SetCache
+	dbinfo map[string]rgmanager.DBInfo
 	// diskGBSeconds integrates each database's primary disk usage over
 	// time, feeding the storage-revenue term.
 	diskGBSeconds map[string]float64
@@ -97,6 +100,7 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 		Cluster:       cluster,
 		Control:       controlplane.New(cluster, s.Catalog),
 		managers:      make(map[string]*rgmanager.Manager),
+		models:        &models.SetCache{},
 		dbinfo:        make(map[string]rgmanager.DBInfo),
 		diskGBSeconds: make(map[string]float64),
 		lastReport:    s.Start,
@@ -107,7 +111,7 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	// model seed (§5.2).
 	seedRoot := rng.New(s.Seeds.Models)
 	for _, n := range cluster.Nodes() {
-		mgr := rgmanager.New(n.ID, cluster.Naming(), seedRoot.Split(n.ID).Uint64())
+		mgr := rgmanager.New(n.ID, cluster.Naming(), o.models, seedRoot.Split(n.ID).Uint64())
 		mgr.SetObs(s.Obs)
 		o.managers[n.ID] = mgr
 	}
@@ -126,7 +130,7 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	o.Recorder.RegisterMetrics(s.Obs.Registry())
 
 	o.Pools = pools.NewManager(o.Control)
-	o.PopMgr = population.New(clock, cluster.Naming(), o.Control, s.Seeds.Population)
+	o.PopMgr = population.New(clock, cluster.Naming(), o.models, o.Control, s.Seeds.Population)
 	o.PopMgr.SetObs(s.Obs)
 	o.PopMgr.OnCreated(func(svc *fabric.Service, sl slo.SLO, initialDiskGB float64) {
 		o.registerDB(svc, sl)
@@ -342,8 +346,17 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 			members = o.poolMemberInfos(svc.Name)
 		}
 		var primaryLoad float64
-		for _, rep := range orderPrimaryFirst(svc) {
-			if rep.Node == nil {
+		// Primary first, then the others in replica order (i == -1 is
+		// the primary), without building a reordered slice per service.
+		primary := svc.Primary()
+		for i := -1; i < len(svc.Replicas); i++ {
+			rep := primary
+			if i >= 0 {
+				if rep = svc.Replicas[i]; rep.Role == fabric.Primary {
+					continue
+				}
+			}
+			if rep == nil || rep.Node == nil {
 				continue
 			}
 			mgr := o.managers[rep.Node.ID]
@@ -403,20 +416,6 @@ func (o *Orchestrator) reportMemory(now time.Time) {
 		}
 	})
 	sp.End(obs.Int("reports", reports))
-}
-
-// orderPrimaryFirst returns a service's replicas with the primary first.
-func orderPrimaryFirst(svc *fabric.Service) []*fabric.Replica {
-	out := make([]*fabric.Replica, 0, len(svc.Replicas))
-	if p := svc.Primary(); p != nil {
-		out = append(out, p)
-	}
-	for _, r := range svc.Replicas {
-		if r.Role != fabric.Primary {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // BootstrapPopulation creates the scenario's initial population through

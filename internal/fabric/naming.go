@@ -16,8 +16,9 @@ import (
 // on a different node sees the same disk usage the old primary reported.
 //
 // Every write bumps a monotonically increasing version so readers can
-// detect changes cheaply. The store is safe for concurrent use: in the
-// deployed system every node's RgManager reads it independently.
+// detect changes cheaply (GetIfChanged). The store is safe for
+// concurrent use: in the deployed system every node's RgManager reads it
+// independently.
 type NamingService struct {
 	mu      sync.RWMutex
 	entries map[string]namingEntry
@@ -154,26 +155,30 @@ func (n *NamingService) MaxEntryVersion() int64 {
 // Get returns the value and version stored under key. The returned slice
 // is a copy.
 func (n *NamingService) Get(key string) (value []byte, version int64, ok bool) {
+	// Entry versions start at 1, so no stored entry matches version 0.
+	return n.GetIfChanged(key, 0)
+}
+
+// GetIfChanged is a Get conditioned on the version the caller already
+// holds: when the entry under key is still at version have, it returns
+// that version with a nil value and copies nothing; otherwise it returns
+// a copy of the value, as Get does. Either way it counts as one read, so
+// a poller that skips unchanged values (RgManager re-reads the model XML
+// every 15 minutes) loads the store exactly as often as one that does
+// not. ok is false when key is absent.
+func (n *NamingService) GetIfChanged(key string, have int64) (value []byte, version int64, ok bool) {
 	n.cReads.Inc()
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.reads++
-	n.mu.Unlock()
-	n.mu.RLock()
-	defer n.mu.RUnlock()
 	e, ok := n.entries[key]
 	if !ok {
 		return nil, 0, false
 	}
+	if e.version == have {
+		return nil, e.version, true
+	}
 	return append([]byte(nil), e.value...), e.version, true
-}
-
-// Version returns the version of the entry under key, or 0 when absent.
-// It lets pollers skip re-parsing unchanged values (RgManager re-reads
-// the model XML every 15 minutes; an unchanged version short-circuits).
-func (n *NamingService) Version(key string) int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.entries[key].version
 }
 
 // Delete removes key. Deleting an absent key is a no-op.
@@ -197,9 +202,10 @@ func (n *NamingService) Keys(prefix string) []string {
 	return out
 }
 
-// Reads returns the cumulative number of Get calls served — the load the
-// metastore absorbs from polling readers (each node's RgManager re-reads
-// the model XML every refresh interval, §3.3.1).
+// Reads returns the cumulative number of Get and GetIfChanged calls
+// served — the load the metastore absorbs from polling readers (each
+// node's RgManager re-reads the model XML every refresh interval,
+// §3.3.1).
 func (n *NamingService) Reads() int64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

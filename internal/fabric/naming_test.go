@@ -25,11 +25,40 @@ func TestNamingVersionsIncrease(t *testing.T) {
 	if !(v1 < v2 && v2 < v3) {
 		t.Errorf("versions not increasing: %d %d %d", v1, v2, v3)
 	}
-	if n.Version("a") != v2 {
-		t.Errorf("Version(a) = %d, want %d", n.Version("a"), v2)
+	if _, ver, _ := n.Get("a"); ver != v2 {
+		t.Errorf("version of a = %d, want %d", ver, v2)
 	}
-	if n.Version("missing") != 0 {
-		t.Error("Version of missing key != 0")
+}
+
+func TestNamingGetIfChanged(t *testing.T) {
+	n := NewNamingService()
+	if _, _, ok := n.GetIfChanged("missing", 0); ok {
+		t.Error("GetIfChanged on missing key succeeded")
+	}
+	v1 := n.Put("k", []byte("one"))
+	got, ver, ok := n.GetIfChanged("k", 0)
+	if !ok || string(got) != "one" || ver != v1 {
+		t.Fatalf("GetIfChanged(k, 0) = %q, %d, %v", got, ver, ok)
+	}
+	got[0] = 'X'
+	if again, _, _ := n.Get("k"); string(again) != "one" {
+		t.Error("GetIfChanged did not copy the value")
+	}
+	got, ver, ok = n.GetIfChanged("k", v1)
+	if !ok || got != nil || ver != v1 {
+		t.Errorf("GetIfChanged(k, current) = %q, %d, %v; want nil, %d, true", got, ver, ok, v1)
+	}
+	v2 := n.Put("k", []byte("two"))
+	if got, ver, _ := n.GetIfChanged("k", v1); string(got) != "two" || ver != v2 {
+		t.Errorf("GetIfChanged(k, stale) = %q, %d; want two, %d", got, ver, v2)
+	}
+	// Every call counts as one read, copied or not.
+	before := n.Reads()
+	if allocs := testing.AllocsPerRun(100, func() { n.GetIfChanged("k", v2) }); allocs != 0 {
+		t.Errorf("unchanged GetIfChanged allocates %v times, want 0", allocs)
+	}
+	if got := n.Reads() - before; got != 101 { // AllocsPerRun adds one warm-up call
+		t.Errorf("Reads advanced by %d over 101 calls", got)
 	}
 }
 
@@ -86,8 +115,8 @@ func TestNamingConcurrentAccess(t *testing.T) {
 			key := string(rune('a' + g))
 			for i := 0; i < 1000; i++ {
 				n.Put(key, []byte{byte(i)})
-				n.Get(key)
-				n.Version(key)
+				_, v, _ := n.Get(key)
+				n.GetIfChanged(key, v)
 			}
 		}(g)
 	}

@@ -2,7 +2,7 @@ package models
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"time"
 
 	"toto/internal/rng"
@@ -163,22 +163,47 @@ type EvalContext struct {
 	Seed uint64
 }
 
+// FNV-1a 64-bit parameters (hash/fnv's New64a), applied inline so the
+// per-report hashes below run without a hasher object.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvAdd[B []byte | string](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// dbPrefixHash returns the FNV-1a state after hashing "<seed>/<db>/",
+// the key prefix every per-database stream and subset hash shares.
+func dbPrefixHash(seed uint64, db string) uint64 {
+	var num [20]byte
+	h := fnvAdd(fnvOffset64, strconv.AppendUint(num[:0], seed, 10))
+	h = fnvAdd(h, "/")
+	h = fnvAdd(h, db)
+	return fnvAdd(h, "/")
+}
+
 // dbStream derives the deterministic random stream for one database at
-// one report bucket. The stream depends only on (seed, db, bucket), so
-// replays and cross-node evaluations agree.
-func dbStream(seed uint64, db string, bucket int64) *rng.Source {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/%d", seed, db, bucket)
-	return rng.New(h.Sum64())
+// one report bucket: a Source seeded with the FNV-1a hash of
+// "<seed>/<db>/<bucket>". The stream depends only on (seed, db, bucket),
+// so replays and cross-node evaluations agree. It runs once per load
+// report, so it hashes in place and returns the stream by value.
+func dbStream(seed uint64, db string, bucket int64) rng.Source {
+	var num [20]byte
+	return rng.Seeded(fnvAdd(dbPrefixHash(seed, db), strconv.AppendInt(num[:0], bucket, 10)))
 }
 
 // dbHash01 maps (seed, db, salt) to a uniform value in [0,1) used for
 // stable subset selection (does this database exhibit high initial
-// growth? rapid growth?).
+// growth? rapid growth?), from the FNV-1a hash of "<seed>/<db>/<salt>".
 func dbHash01(seed uint64, db, salt string) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s/%s", seed, db, salt)
-	return float64(h.Sum64()>>11) / (1 << 53)
+	h := fnvAdd(dbPrefixHash(seed, db), salt)
+	return float64(h>>11) / (1 << 53)
 }
 
 // HasInitialGrowth reports whether database db belongs to the
@@ -208,14 +233,15 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	}
 	src := dbStream(ctx.Seed, ctx.DB, bucket)
 
-	delta := m.Steady.Sample(src, ctx.Now)
+	delta := m.Steady.Sample(&src, ctx.Now)
 
 	// Initial creation growth: total bin-sampled growth spread uniformly
 	// over the reports inside the initial window.
 	if m.HasInitialGrowth(ctx.Seed, ctx.DB) {
 		elapsed := ctx.Now.Sub(ctx.Created)
 		if elapsed >= 0 && elapsed < m.Initial.Duration {
-			total := SampleBins(dbStream(ctx.Seed, ctx.DB, -1), m.Initial.Bins)
+			initial := dbStream(ctx.Seed, ctx.DB, -1)
+			total := SampleBins(&initial, m.Initial.Bins)
 			reports := float64(m.Initial.Duration / m.ReportInterval)
 			if reports < 1 {
 				reports = 1
@@ -230,7 +256,8 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	if m.HasRapidGrowth(ctx.Seed, ctx.DB) {
 		state, _ := m.Rapid.StateAt(ctx.Created, ctx.Now)
 		cycle := m.Rapid.cycleIndex(ctx.Created, ctx.Now)
-		magnitude := SampleBins(dbStream(ctx.Seed, ctx.DB, -1000-cycle), m.Rapid.IncreaseBins)
+		spike := dbStream(ctx.Seed, ctx.DB, -1000-cycle)
+		magnitude := SampleBins(&spike, m.Rapid.IncreaseBins)
 		switch state {
 		case StateRapidIncrease:
 			reports := float64(m.Rapid.IncreaseDur / m.ReportInterval)
@@ -294,7 +321,7 @@ func (m *MemoryModel) next(ctx EvalContext, secondary bool) float64 {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
 	src := dbStream(ctx.Seed, ctx.DB, bucket+1_000_000)
-	target := m.Target.Sample(src, ctx.Now)
+	target := m.Target.Sample(&src, ctx.Now)
 	if secondary && m.SecondaryFactor > 0 {
 		target *= m.SecondaryFactor
 	}
@@ -355,7 +382,7 @@ func (m *CPUModel) next(ctx EvalContext, secondary bool) float64 {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
 	src := dbStream(ctx.Seed, ctx.DB, bucket+2_000_000)
-	frac := m.TargetFraction.Sample(src, ctx.Now)
+	frac := m.TargetFraction.Sample(&src, ctx.Now)
 	if frac < 0 {
 		frac = 0
 	}

@@ -5,7 +5,8 @@
 // (five equi-probable uniform bins), and the Predictable Rapid Growth
 // state machine. It also defines the XML serialization format the models
 // travel in: Toto writes model XML into the Naming Service and every
-// node's RgManager re-reads and re-parses it every 15 minutes (§3.3.1).
+// node's RgManager re-reads it every 15 minutes (§3.3.1); a SetCache
+// decodes each version of it once per deployment.
 //
 // Model objects are stateless (§3.3.2): every evaluation derives its
 // randomness from (model seed, database name, time bucket), so any node
@@ -100,9 +101,6 @@ func (h *HourlyNormal) SampleCount(src *rng.Source, t time.Time) int {
 	}
 	return int(v + 0.5)
 }
-
-// MeanAt returns the cell mean at t (used for expected-value analyses).
-func (h *HourlyNormal) MeanAt(t time.Time) float64 { return h.At(t).Mean }
 
 // Buckets iterates all 48 cells in a stable order (weekday hours 0-23,
 // then weekend hours 0-23), calling fn for each.

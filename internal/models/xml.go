@@ -3,6 +3,7 @@ package models
 import (
 	"encoding/xml"
 	"fmt"
+	"sync"
 	"time"
 
 	"toto/internal/slo"
@@ -11,10 +12,11 @@ import (
 // ModelSet is the full collection of models Toto injects into a cluster:
 // create/drop models for the Population Manager and disk/memory models
 // for every RgManager. It is serialized to XML and written into the
-// Naming Service; RgManager re-reads and re-parses it every 15 minutes,
-// so overwriting the XML reconfigures resource behaviour declaratively
-// mid-run (§3.3.1: "Tweaking the growth behavior of subsets of databases
-// ... is easily configurable simply by changing XML properties").
+// Naming Service; RgManager re-reads it every 15 minutes and re-parses
+// it when its version changed, so overwriting the XML reconfigures
+// resource behaviour declaratively mid-run (§3.3.1: "Tweaking the
+// growth behavior of subsets of databases ... is easily configurable
+// simply by changing XML properties").
 type ModelSet struct {
 	// Seed is the base model seed. Each node's RgManager splits a unique
 	// per-node stream from it (§5.2), and all per-database hashing keys
@@ -109,6 +111,43 @@ func NewModelSet(seed uint64) *ModelSet {
 
 // NamingKey is the Naming Service key the model XML lives under.
 const NamingKey = "toto/models"
+
+// SetCache shares one decoded ModelSet per Naming Service version of the
+// model XML among the readers of one deployment (every node's RgManager
+// and the Population Manager), so each version is decoded once rather
+// than once per reader. Readers still read the key on their own schedule
+// and observe its version; only the decode is shared. A shared set must
+// be treated as immutable. SetCache is safe for concurrent use.
+type SetCache struct {
+	mu      sync.Mutex
+	version int64
+	set     *ModelSet
+	err     error
+	decodes int
+}
+
+// Decode returns the ModelSet encoded in data, which the Naming Service
+// holds as version (versions are never 0). The first call for a version
+// decodes; later calls for the same version return the same *ModelSet,
+// or the same error for a malformed blob, without looking at data.
+func (c *SetCache) Decode(version int64, data []byte) (*ModelSet, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if version != c.version {
+		c.set, c.err = UnmarshalModelSetXML(data)
+		c.version = version
+		c.decodes++
+	}
+	return c.set, c.err
+}
+
+// Decodes returns how many times the cache has decoded the model XML:
+// once per distinct version it was asked for.
+func (c *SetCache) Decodes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.decodes
+}
 
 // DiskReportInterval returns the smallest disk report interval across the
 // set's editions, defaulting to the paper's 20 minutes when no disk model

@@ -3,6 +3,7 @@ package models
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,5 +176,46 @@ func TestXMLOmitsEmptyCells(t *testing.T) {
 	data, _ := set.EncodeXML()
 	if n := strings.Count(string(data), "<Hour "); n != 1 {
 		t.Errorf("serialized %d cells, want 1 (empty cells omitted)", n)
+	}
+}
+
+func TestSetCacheDecodesEachVersionOnce(t *testing.T) {
+	data, err := sampleModelSet().EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Concurrent readers of one version share one decode.
+	cache := &SetCache{}
+	sets := make([]*ModelSet, 8)
+	var wg sync.WaitGroup
+	for i := range sets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sets[i], _ = cache.Decode(5, data)
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range sets {
+		if s == nil || s != sets[0] {
+			t.Fatalf("reader %d got %p, reader 0 got %p", i, s, sets[0])
+		}
+	}
+	if cache.Decodes() != 1 {
+		t.Errorf("8 readers of one version decoded %d times", cache.Decodes())
+	}
+	// The cache keys on the version alone: the same version is not
+	// decoded again, a new one is, and a malformed blob's error is kept.
+	if s, err := cache.Decode(5, nil); s != sets[0] || err != nil {
+		t.Errorf("cached version re-decoded: %p, %v", s, err)
+	}
+	if s, err := cache.Decode(6, []byte("<broken")); s != nil || err == nil {
+		t.Errorf("malformed version 6 = %p, %v", s, err)
+	}
+	if _, err := cache.Decode(6, data); err == nil {
+		t.Error("version 6 lost its decode error")
+	}
+	if s, _ := cache.Decode(7, data); s == nil || s == sets[0] || cache.Decodes() != 3 {
+		t.Errorf("version 7: %p after %d decodes; want a fresh set, 3 decodes", s, cache.Decodes())
 	}
 }

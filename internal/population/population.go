@@ -6,7 +6,9 @@
 //
 // The daemon is stateless in the paper's sense: every wakeup re-reads the
 // declarative model XML from the Naming Service, so the benchmark scenario
-// can be reconfigured mid-run by overwriting the XML.
+// can be reconfigured mid-run by overwriting the XML. It keeps only the
+// decoded form of the version it last read, so an unchanged model blob is
+// neither copied nor decoded again.
 package population
 
 import (
@@ -56,6 +58,12 @@ type Manager struct {
 	cp     *controlplane.ControlPlane
 	rnd    *rng.Source
 
+	// set is the decoded model XML at version (nil when absent or
+	// malformed).
+	set     *models.ModelSet
+	version int64
+	decoded *models.SetCache
+
 	onCreated []CreatedFunc
 	poolOps   PoolOps
 	ticker    *simclock.Ticker
@@ -73,15 +81,18 @@ type Manager struct {
 	cFails   *obs.Counter // population.failures
 }
 
-// New builds a Population Manager. seed is the single fixed seed of §5.2
-// ("The Population Manager used a single seed which fixed the order and
-// the SLO of the databases that were created").
-func New(clock *simclock.Clock, naming *fabric.NamingService, cp *controlplane.ControlPlane, seed uint64) *Manager {
+// New builds a Population Manager that reads the model XML from naming
+// and decodes it through decoded, a non-nil cache the deployment's
+// RgManagers share. seed is the single fixed seed of §5.2 ("The
+// Population Manager used a single seed which fixed the order and the
+// SLO of the databases that were created").
+func New(clock *simclock.Clock, naming *fabric.NamingService, decoded *models.SetCache, cp *controlplane.ControlPlane, seed uint64) *Manager {
 	return &Manager{
-		clock:  clock,
-		naming: naming,
-		cp:     cp,
-		rnd:    rng.New(seed),
+		clock:   clock,
+		naming:  naming,
+		decoded: decoded,
+		cp:      cp,
+		rnd:     rng.New(seed),
 	}
 }
 
@@ -95,6 +106,10 @@ func (m *Manager) SetObs(o *obs.Obs) {
 	m.cDrops = o.Counter("population.drops")
 	m.cFails = o.Counter("population.failures")
 }
+
+// Models returns the model set read at the last wakeup (nil before the
+// first, or when the XML was absent or malformed).
+func (m *Manager) Models() *models.ModelSet { return m.set }
 
 // SetPoolOps enables elastic-pool churn through the given operations.
 // Without it, PoolPolicy entries in the model set are ignored.
@@ -231,19 +246,24 @@ func (m *Manager) scheduleMemberDrop(e slo.Edition, hourStart time.Time) {
 	})
 }
 
-// readModels fetches and parses the model XML; nil when absent or
-// malformed (a malformed blob disables churn rather than crashing the
-// daemon, matching a production service's defensive posture).
+// readModels re-reads the model XML and returns its decoded form,
+// decoding only a changed version; nil when absent or malformed (a
+// malformed blob disables churn rather than crashing the daemon,
+// matching a production service's defensive posture).
 func (m *Manager) readModels() *models.ModelSet {
-	data, _, ok := m.naming.Get(models.NamingKey)
+	data, version, ok := m.naming.GetIfChanged(models.NamingKey, m.version)
 	if !ok {
+		m.set, m.version = nil, 0
 		return nil
 	}
-	set, err := models.UnmarshalModelSetXML(data)
-	if err != nil {
-		return nil
+	if version != m.version {
+		set, err := m.decoded.Decode(version, data)
+		if err != nil {
+			set = nil
+		}
+		m.set, m.version = set, version
 	}
-	return set
+	return m.set
 }
 
 // sampleScaledCount draws the hour's event count from the region-level

@@ -28,6 +28,7 @@ type env struct {
 	cluster *fabric.Cluster
 	cp      *controlplane.ControlPlane
 	mgr     *Manager
+	decoded *models.SetCache
 }
 
 func newEnv(t *testing.T, set *models.ModelSet, nodes int) *env {
@@ -39,7 +40,8 @@ func newEnv(t *testing.T, set *models.ModelSet, nodes int) *env {
 		fabric.MetricMemoryGB: 512,
 	}, fabric.DefaultConfig())
 	cp := controlplane.New(cluster, slo.Gen5())
-	mgr := New(clock, cluster.Naming(), cp, 42)
+	decoded := &models.SetCache{}
+	mgr := New(clock, cluster.Naming(), decoded, cp, 42)
 	if set != nil {
 		data, err := set.EncodeXML()
 		if err != nil {
@@ -47,7 +49,7 @@ func newEnv(t *testing.T, set *models.ModelSet, nodes int) *env {
 		}
 		cluster.Naming().Put(models.NamingKey, data)
 	}
-	return &env{clock: clock, cluster: cluster, cp: cp, mgr: mgr}
+	return &env{clock: clock, cluster: cluster, cp: cp, mgr: mgr, decoded: decoded}
 }
 
 func churnSet(createMean, dropMean float64) *models.ModelSet {
@@ -273,5 +275,51 @@ func TestLifetimeLongLivedNeverDropped(t *testing.T) {
 	}
 	if drops != 0 {
 		t.Errorf("long-lived databases were dropped: %d", drops)
+	}
+}
+
+// TestWakeDecodesOnlyChangedVersions pins the hourly re-read: every wake
+// reads the model key once, but only a new version is decoded; a
+// malformed blob stops churn until the key is repaired.
+func TestWakeDecodesOnlyChangedVersions(t *testing.T) {
+	e := newEnv(t, churnSet(3, 0), 8)
+	cache := e.decoded
+	naming := e.cluster.Naming()
+	reads := naming.Reads()
+	e.mgr.Start()
+	e.clock.RunUntil(start.Add(5 * time.Hour))
+	if got := naming.Reads() - reads; got != 5 {
+		t.Errorf("5 wakes made %d Naming Service reads, want 5", got)
+	}
+	if cache.Decodes() != 1 {
+		t.Errorf("5 wakes at one version decoded %d times, want 1", cache.Decodes())
+	}
+	first := e.mgr.Models()
+	if first == nil {
+		t.Fatal("no models after the first wakes")
+	}
+
+	data, _ := churnSet(3, 0).EncodeXML()
+	naming.Put(models.NamingKey, data)
+	e.clock.RunUntil(start.Add(6 * time.Hour))
+	if cache.Decodes() != 2 || e.mgr.Models() == first {
+		t.Errorf("rewritten XML: %d decodes, set replaced %v; want 2, true", cache.Decodes(), e.mgr.Models() != first)
+	}
+
+	naming.Put(models.NamingKey, []byte("<broken"))
+	e.clock.RunUntil(start.Add(7*time.Hour - time.Second)) // let the last sampled hour land
+	creates, _, _ := e.mgr.Stats()
+	e.clock.RunUntil(start.Add(10 * time.Hour))
+	if after, _, _ := e.mgr.Stats(); after != creates {
+		t.Errorf("malformed XML kept churn going: %d -> %d creates", creates, after)
+	}
+	if e.mgr.Models() != nil || cache.Decodes() != 3 {
+		t.Errorf("malformed XML: models %p, %d decodes; want nil, 3", e.mgr.Models(), cache.Decodes())
+	}
+
+	naming.Delete(models.NamingKey)
+	e.clock.RunUntil(start.Add(11 * time.Hour))
+	if e.mgr.Models() != nil || cache.Decodes() != 3 {
+		t.Errorf("deleted key: models %p, %d decodes; want nil, 3", e.mgr.Models(), cache.Decodes())
 	}
 }

@@ -7,7 +7,10 @@
 // with Toto enabled, the Manager computes the value from declarative
 // models instead of the replica's actual usage. Models arrive as XML
 // through the Naming Service and are re-read every 15 minutes, so
-// behaviour can be reconfigured mid-benchmark by overwriting one key.
+// behaviour can be reconfigured mid-benchmark by overwriting one key. A
+// refresh at an unchanged version copies and decodes nothing, and the
+// Managers of one deployment share each decoded version
+// (models.SetCache).
 //
 // Persisted metrics (local-store disk) round-trip the previously reported
 // value through the Naming Service: only the primary replica executes the
@@ -21,6 +24,7 @@ package rgmanager
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"toto/internal/fabric"
@@ -64,6 +68,7 @@ type Manager struct {
 
 	set     *models.ModelSet
 	version int64
+	decoded *models.SetCache
 
 	mem map[loadKey]float64
 
@@ -76,16 +81,19 @@ type Manager struct {
 	cEvictions   *obs.Counter // rgmanager.evictions
 }
 
-// New returns the Manager for node nodeID reading models from naming.
-// nodeSeed is this node's unique random seed (§5.2: "a unique seed was
-// provided to every node"); it drives sampling for non-persisted metrics,
-// whose values reset on failover anyway. Persisted metrics sample from
-// the model set's global seed so a newly promoted primary on another node
+// New returns the Manager for node nodeID reading models from naming and
+// decoding them through decoded, a non-nil cache the deployment's other
+// model readers share so each version is decoded once. nodeSeed is this
+// node's unique random seed (§5.2: "a unique seed was provided to every
+// node"); it drives sampling for non-persisted metrics, whose values
+// reset on failover anyway. Persisted metrics sample from the model
+// set's global seed so a newly promoted primary on another node
 // continues the same sequence.
-func New(nodeID string, naming *fabric.NamingService, nodeSeed uint64) *Manager {
+func New(nodeID string, naming *fabric.NamingService, decoded *models.SetCache, nodeSeed uint64) *Manager {
 	return &Manager{
 		nodeID:   nodeID,
 		naming:   naming,
+		decoded:  decoded,
 		nodeSeed: nodeSeed,
 		mem:      make(map[loadKey]float64),
 	}
@@ -100,20 +108,19 @@ func (m *Manager) SetObs(o *obs.Obs) {
 	m.cEvictions = o.Counter("rgmanager.evictions")
 }
 
-// NodeID returns the node this Manager governs.
-func (m *Manager) NodeID() string { return m.nodeID }
-
 // Models returns the currently loaded model set (nil before the first
 // successful Refresh).
 func (m *Manager) Models() *models.ModelSet { return m.set }
 
-// Refresh re-reads the model XML from the Naming Service, re-parsing only
-// when the stored version changed. It is scheduled every 15 minutes by
-// the orchestrator. A missing key clears the models (normal operating
-// behaviour resumes).
+// Refresh re-reads the model XML from the Naming Service; only a changed
+// version is copied and decoded, so the common unchanged refresh costs
+// one Naming Service read and nothing else. It is scheduled every 15
+// minutes by the orchestrator. A missing key clears the models (normal
+// operating behaviour resumes); a malformed blob keeps the previous
+// models and returns an error.
 func (m *Manager) Refresh() error {
 	m.cRefreshes.Inc()
-	data, version, ok := m.naming.Get(models.NamingKey)
+	data, version, ok := m.naming.GetIfChanged(models.NamingKey, m.version)
 	if !ok {
 		m.set = nil
 		m.version = 0
@@ -122,7 +129,7 @@ func (m *Manager) Refresh() error {
 	if version == m.version {
 		return nil
 	}
-	set, err := models.UnmarshalModelSetXML(data)
+	set, err := m.decoded.Decode(version, data)
 	if err != nil {
 		return fmt.Errorf("rgmanager %s: %w", m.nodeID, err)
 	}
@@ -141,16 +148,28 @@ func (m *Manager) persistedLoad(db string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	var v float64
-	if _, err := fmt.Sscanf(string(data), "%g", &v); err != nil {
-		return 0, false
-	}
-	return v, true
+	return parseLoad(data)
 }
 
 // persistLoad durably stores the reported disk value for db.
 func (m *Manager) persistLoad(db string, v float64) {
-	m.naming.Put(loadNamingKey(db), []byte(fmt.Sprintf("%g", v)))
+	var buf [32]byte
+	m.naming.Put(loadNamingKey(db), appendLoad(buf[:0], v))
+}
+
+// appendLoad appends the stored text form of a disk load: the shortest
+// decimal that parses back to v, byte-identical to fmt's %g.
+func appendLoad(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// parseLoad reads a disk load stored by appendLoad.
+func parseLoad(data []byte) (float64, bool) {
+	v, err := strconv.ParseFloat(string(data), 64)
+	if err != nil {
+		return 0, false
+	}
+	return v, true
 }
 
 // ClearPersisted removes db's durable load entry (called when the

@@ -44,11 +44,13 @@ func testModelSet() *models.ModelSet {
 	return set
 }
 
-// env wires a small cluster with one RgManager per node and the test
-// model set written into the Naming Service.
+// env wires a small cluster with one RgManager per node, sharing one
+// model cache as the orchestrator wires them, and the test model set
+// written into the Naming Service.
 type env struct {
 	cluster  *fabric.Cluster
 	managers map[string]*Manager
+	decoded  *models.SetCache
 }
 
 func newEnv(t *testing.T, set *models.ModelSet) *env {
@@ -59,9 +61,9 @@ func newEnv(t *testing.T, set *models.ModelSet) *env {
 		fabric.MetricDiskGB:   8192,
 		fabric.MetricMemoryGB: 512,
 	}, cfg)
-	e := &env{cluster: cluster, managers: make(map[string]*Manager)}
+	e := &env{cluster: cluster, managers: make(map[string]*Manager), decoded: &models.SetCache{}}
 	for i, n := range cluster.Nodes() {
-		e.managers[n.ID] = New(n.ID, cluster.Naming(), uint64(1000+i))
+		e.managers[n.ID] = New(n.ID, cluster.Naming(), e.decoded, uint64(1000+i))
 	}
 	if set != nil {
 		data, err := set.EncodeXML()

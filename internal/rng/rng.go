@@ -32,8 +32,16 @@ type Source struct {
 // New returns a Source seeded with seed. Distinct seeds give independent
 // streams for practical purposes.
 func New(seed uint64) *Source {
+	s := Seeded(seed)
+	return &s
+}
+
+// Seeded returns a Source seeded with seed by value, for hot paths that
+// derive a short-lived stream per call and keep it on the stack. It
+// yields exactly the stream New(seed) does.
+func Seeded(seed uint64) Source {
 	// Avoid the all-zero state degeneracy by mixing the seed once.
-	s := &Source{state: seed}
+	s := Source{state: seed}
 	s.next()
 	return s
 }

@@ -15,6 +15,23 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+func TestSeededMatchesNew(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+		p, v := New(seed), Seeded(seed)
+		for i := 0; i < 100; i++ {
+			if a, b := p.Normal(0, 1), v.Normal(0, 1); a != b {
+				t.Fatalf("seed %d: draw %d: New %v, Seeded %v", seed, i, a, b)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s := Seeded(7)
+		s.Float64()
+	}); allocs != 0 {
+		t.Errorf("Seeded allocates %v times per stream, want 0", allocs)
+	}
+}
+
 func TestDistinctSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
