@@ -71,7 +71,7 @@ func main() {
 	}
 	o.Clock.RunUntil(sc.Start.Add(sc.BootstrapDuration))
 	fmt.Printf("stage cluster bootstrapped: disk %.1f%%, %d databases\n",
-		100*o.Cluster.DiskUsage()/o.Cluster.DiskCapacity(), len(o.Cluster.LiveServices()))
+		100*o.Cluster.DiskUsage()/o.Cluster.DiskCapacity(), o.Cluster.LiveServiceCount())
 
 	// Inject the repro XML (declaratively, through the Naming Service —
 	// exactly how the production mechanism works) and create the suspect.

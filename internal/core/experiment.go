@@ -160,7 +160,7 @@ func Run(s *Scenario) (*Result, error) {
 	}
 	o.Clock.RunUntil(s.Start.Add(s.BootstrapDuration))
 	bootSp.End(
-		obs.Int("dbs", len(o.Cluster.LiveServices())),
+		obs.Int("dbs", o.Cluster.LiveServiceCount()),
 		obs.Float("reserved_cores", o.Cluster.ReservedCores()),
 		obs.Float("disk_gb", o.Cluster.DiskUsage()),
 	)

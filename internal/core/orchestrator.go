@@ -553,8 +553,8 @@ func (o *Orchestrator) RemovePoolMember(pool, db string) error {
 	return nil
 }
 
-// ScaleDatabase applies a customer SLO change and records the §5.4
-// scale-up latency in telemetry.
+// ScaleDatabase applies a customer SLO change. The returned outcome's
+// Latency is the §5.4 scale-up latency.
 func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcome, error) {
 	outcome, next, err := o.Control.ScaleDatabase(db, newSLOName)
 	if err != nil {
@@ -564,7 +564,6 @@ func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcom
 	info.MaxDiskGB = next.MaxDiskGB
 	info.MaxMemoryGB = next.MemoryGB
 	o.dbinfo[db] = info
-	o.Recorder.RecordScale(db, outcome.OldCores, outcome.NewCores, outcome.Moves, outcome.Latency)
 	return outcome, nil
 }
 

@@ -153,10 +153,15 @@ func DefaultConfig() Config {
 // Cluster is a single tenant ring: a fixed set of nodes, the services
 // placed on them, the Naming Service metastore, and the PLB.
 type Cluster struct {
-	clock     *simclock.Clock
-	cfg       Config
-	nodes     []*Node
-	services  map[string]*Service
+	clock    *simclock.Clock
+	cfg      Config
+	nodes    []*Node
+	services map[string]*Service // live and dropped, by name
+	// live holds exactly the services that are not dropped, in name
+	// order. CreateServiceWithLoads inserts by binary search once
+	// placement succeeds and DropService removes, so sweeps never scan
+	// the map or sort.
+	live      []*Service
 	naming    *NamingService
 	plb       *plb
 	listeners []Listener
@@ -198,7 +203,7 @@ type Cluster struct {
 	openQuorum     []*Service // open quorum-loss windows
 	quorumScratch  []*Service // reused sweep candidate buffer
 
-	// svcScratch is EachLiveService's reused sorted-sweep buffer.
+	// svcScratch is EachLiveService's reused snapshot buffer.
 	svcScratch []*Service
 
 	// upgrade is the in-flight domain-upgrade walker, nil otherwise (see
@@ -511,53 +516,33 @@ func (c *Cluster) Services() []*Service {
 
 // LiveServices returns the services that have not been dropped, sorted by
 // name.
-func (c *Cluster) LiveServices() []*Service {
-	out := make([]*Service, 0, len(c.services))
-	for _, s := range c.services {
-		if s.Alive() {
-			out = append(out, s)
-		}
-	}
-	sortServicesByName(out)
-	return out
-}
+func (c *Cluster) LiveServices() []*Service { return slices.Clone(c.live) }
 
-// LiveServiceCount returns how many services are live, without building
-// the sorted slice LiveServices returns — the right call for periodic
-// gauges that only need the number.
-func (c *Cluster) LiveServiceCount() int {
-	n := 0
-	for _, s := range c.services {
-		if s.Alive() {
-			n++
-		}
-	}
-	return n
-}
+// LiveServiceCount returns how many services are live, without copying
+// the slice LiveServices returns — the right call for periodic gauges
+// that only need the number.
+func (c *Cluster) LiveServiceCount() int { return len(c.live) }
 
-// sortServicesByName is the canonical service ordering every sweep uses;
-// slices.SortFunc avoids the reflection (and its allocation) sort.Slice
-// pays per call.
+// compareServiceNames is the canonical service ordering: the live index
+// keeps it and every other name-ordered sweep sorts into it.
+func compareServiceNames(a, b *Service) int { return strings.Compare(a.Name, b.Name) }
+
+// sortServicesByName sorts into the canonical order; slices.SortFunc
+// avoids the reflection (and its allocation) sort.Slice pays per call.
 func sortServicesByName(svcs []*Service) {
-	slices.SortFunc(svcs, func(a, b *Service) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(svcs, compareServiceNames)
 }
 
 // EachLiveService calls fn for every live service in name order without
-// allocating: the sorted sweep buffer is owned by the cluster and reused
-// across calls. Periodic loops (load reporting, churn) should prefer this
-// over LiveServices, whose returned slice they would immediately discard.
-// fn must not drop services (creating is safe: the candidate set was
-// snapshotted before the first call).
+// allocating. It iterates a snapshot of the live index, copied into a
+// cluster-owned buffer reused across calls, so periodic loops (load
+// reporting, churn, traffic ticks) should prefer it over LiveServices,
+// whose returned slice they would immediately discard. Creating a
+// service inside fn is safe and the new service is not visited; fn must
+// not drop services.
 func (c *Cluster) EachLiveService(fn func(*Service)) {
-	buf := c.svcScratch
+	buf := append(c.svcScratch[:0], c.live...)
 	c.svcScratch = nil // a reentrant call gets its own buffer
-	buf = buf[:0]
-	for _, s := range c.services {
-		if s.Alive() {
-			buf = append(buf, s)
-		}
-	}
-	sortServicesByName(buf)
 	for _, s := range buf {
 		fn(s)
 	}
@@ -610,6 +595,8 @@ func (c *Cluster) CreateServiceWithLoads(name string, replicaCount int, reserved
 		node.attach(svc.Replicas[i])
 	}
 	c.services[name] = svc
+	i, _ := slices.BinarySearchFunc(c.live, svc, compareServiceNames)
+	c.live = slices.Insert(c.live, i, svc)
 	c.emit(Event{Kind: EventServiceCreated, Time: c.clock.Now(), Service: svc})
 	return svc, nil
 }
@@ -631,6 +618,9 @@ func (c *Cluster) DropService(name string) error {
 		c.closeQuorumWindow(svc, nil, c.clock.Now(), "dropped")
 	}
 	svc.Dropped = c.clock.Now()
+	if i, ok := slices.BinarySearchFunc(c.live, svc, compareServiceNames); ok {
+		c.live = slices.Delete(c.live, i, i+1)
+	}
 	c.emit(Event{Kind: EventServiceDropped, Time: c.clock.Now(), Service: svc})
 	return nil
 }

@@ -157,6 +157,10 @@ type Engine struct {
 	flusher *simclock.Ticker
 	started bool
 
+	// premiumBuf and standardBuf are tick's reused per-class sweep
+	// buffers.
+	premiumBuf, standardBuf []*fabric.Service
+
 	stats    Stats
 	hourHist hist
 	runHist  hist
@@ -351,16 +355,25 @@ func (e *Engine) annotate(kind string, now time.Time, svc string, value, limit f
 
 // tick is one admission round: refill the front-end token bucket from
 // the surviving node fraction, then serve every live service in the
-// cluster's deterministic name order.
+// cluster's deterministic name order, premium class first.
 func (e *Engine) tick(now time.Time) {
 	shape := trace.DiurnalShape(now.Hour())
 	if wd := now.Weekday(); wd == time.Saturday || wd == time.Sunday {
 		shape *= e.spec.WeekendFactor
 	}
 
+	// One snapshot of the live services per tick: sum their reserved
+	// cores and classify each once, both in name order. Without traffic
+	// classes every service is standard.
 	reserved := 0.0
+	premium, standard := e.premiumBuf[:0], e.standardBuf[:0]
 	e.cluster.EachLiveService(func(s *fabric.Service) {
 		reserved += s.TotalReservedCores()
+		if e.isPremium(s) {
+			premium = append(premium, s)
+		} else {
+			standard = append(standard, s)
+		}
 	})
 	upFrac := 1.0
 	if n := len(e.cluster.Nodes()); n > 0 {
@@ -375,31 +388,23 @@ func (e *Engine) tick(now time.Time) {
 		e.tokens = burst
 	}
 
-	if e.spec.Classes == nil {
-		e.cluster.EachLiveService(func(s *fabric.Service) {
-			e.serveOne(now, s, shape)
-		})
-		return
+	// Premium services admit first, so the shared token bucket drains in
+	// class order and overload sheds standard traffic before premium —
+	// the shed order is the admission order.
+	for _, s := range premium {
+		e.serveOne(now, s, shape, true)
 	}
-	// Traffic classes: premium services admit first, so the shared token
-	// bucket drains in class order and overload sheds standard traffic
-	// before premium — the shed order is the admission order.
-	e.cluster.EachLiveService(func(s *fabric.Service) {
-		if e.isPremium(s) {
-			e.serveOne(now, s, shape)
-		}
-	})
-	e.cluster.EachLiveService(func(s *fabric.Service) {
-		if !e.isPremium(s) {
-			e.serveOne(now, s, shape)
-		}
-	})
+	for _, s := range standard {
+		e.serveOne(now, s, shape, false)
+	}
+	e.premiumBuf, e.standardBuf = premium[:0], standard[:0]
 }
 
 // serveOne runs one service's tick: open-loop arrivals, admission with
 // bounded queueing and shedding, the circuit breaker, dispatch against
 // the service's serving state, budgeted retries, and latency accounting.
-func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
+// premium is the service's traffic class, as isPremium resolved it.
+func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premium bool) {
 	st := e.svc[s.Name]
 	if st == nil {
 		st = &svcState{br: NewBreaker(e.spec.Breaker)}
@@ -411,7 +416,6 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 	e.lastNode, e.lastUtil = "", 0
 	e.curHedge = nil
 	e.tickHedges, e.tickHedgeDeny, e.tickHedgeWins = 0, 0, 0
-	premium := e.isPremium(s)
 
 	mean := e.spec.PerCoreRPS * s.TotalReservedCores() * shape * e.spec.TickSeconds
 	n := 0
@@ -434,7 +438,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64) {
 	overflow := demand - take
 	st.queued = overflow
 	depth := e.spec.QueueDepth
-	if premium && e.spec.Classes != nil {
+	if premium {
 		// The premium admission weight: a deeper overflow queue, so
 		// premium spillover waits out a burst that sheds standard load.
 		depth = int(float64(depth) * e.spec.Classes.PremiumWeight)
@@ -748,20 +752,22 @@ func (e *Engine) observeCell(now time.Time, svc string, k int64, mult, ms, queue
 				hv = v
 			}
 			e.tickHedges += granted
+			hb := BucketIndex(hv)
 			if e.rec != nil {
-				e.traceHedged(now, svc, granted, hv, win)
+				e.traceHedged(now, svc, granted, hb, hv, win)
 			}
-			e.hourHist.add(hv, granted)
+			e.hourHist.add(hb, hv, granted)
 			k -= granted
 		}
 	}
 	if k <= 0 {
 		return
 	}
+	b := BucketIndex(v)
 	if e.rec != nil {
-		e.traceOK(now, svc, k, v, queueMs*mult, backMs*mult, retries)
+		e.traceOK(now, svc, k, b, v, queueMs*mult, backMs*mult, retries)
 	}
-	e.hourHist.add(v, k)
+	e.hourHist.add(b, v, k)
 }
 
 // traceFail assembles and offers a failure trace (shed or breaker-
@@ -803,11 +809,12 @@ func (e *Engine) traceError(now time.Time, svc string, count int64, meanMs float
 	}
 }
 
-// traceOK assembles a success trace for one latency-spread cell. The
-// first trace into an empty histogram bucket is always kept as that
-// bucket's exemplar; otherwise the deterministic 1-in-N sampler rules.
-func (e *Engine) traceOK(now time.Time, svc string, count int64, v, queueMs, backMs float64, retries int) {
-	bucketFirst := e.hourHist.needsExemplar(v)
+// traceOK assembles a success trace for one latency-spread cell of
+// latency v in histogram bucket b. The first trace into an empty bucket
+// is always kept as that bucket's exemplar; otherwise the deterministic
+// 1-in-N sampler rules.
+func (e *Engine) traceOK(now time.Time, svc string, count int64, b int, v, queueMs, backMs float64, retries int) {
+	bucketFirst := e.hourHist.needsExemplar(b)
 	tr := e.rec.Begin(now.UnixNano(), svc)
 	tr.Add(reqtrace.SpanArrival, 0, 0)
 	off := 0.0
@@ -832,7 +839,7 @@ func (e *Engine) traceOK(now time.Time, svc string, count int64, v, queueMs, bac
 	group := e.traceGroup
 	e.traceGroup++
 	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, retries, group, bucketFirst); ok {
-		e.hourHist.setExemplar(v, kept.ID)
+		e.hourHist.setExemplar(b, v, kept.ID)
 		aSeq, aKind := e.bestAnchor(now)
 		e.emitTrace(now, svc, kept, aSeq, aKind)
 	}
@@ -840,11 +847,11 @@ func (e *Engine) traceOK(now time.Time, svc string, count int64, v, queueMs, bac
 
 // traceHedged assembles a success trace for a hedged latency-spread
 // cell: the dispatch raced a speculative attempt launched at the hedge
-// delay, and v is whichever path finished first. On a win the hedge span
-// carries the alternate's service time; on a loss it is zero-duration —
-// launched, but beaten by the original.
-func (e *Engine) traceHedged(now time.Time, svc string, count int64, v float64, win bool) {
-	bucketFirst := e.hourHist.needsExemplar(v)
+// delay, and v, in histogram bucket b, is whichever path finished first.
+// On a win the hedge span carries the alternate's service time; on a
+// loss it is zero-duration — launched, but beaten by the original.
+func (e *Engine) traceHedged(now time.Time, svc string, count int64, b int, v float64, win bool) {
+	bucketFirst := e.hourHist.needsExemplar(b)
 	tr := e.rec.Begin(now.UnixNano(), svc)
 	tr.Add(reqtrace.SpanArrival, 0, 0)
 	tr.Add(reqtrace.SpanAdmission, 0, 0)
@@ -860,7 +867,7 @@ func (e *Engine) traceHedged(now time.Time, svc string, count int64, v float64, 
 	group := e.traceGroup
 	e.traceGroup++
 	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, 0, group, bucketFirst); ok {
-		e.hourHist.setExemplar(v, kept.ID)
+		e.hourHist.setExemplar(b, v, kept.ID)
 		aSeq, aKind := e.bestAnchor(now)
 		e.emitTrace(now, svc, kept, aSeq, aKind)
 	}

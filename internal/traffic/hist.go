@@ -26,16 +26,49 @@ func BucketBound(i int) float64 {
 // BucketIndex maps a latency to its bucket, clamping NaN, negative, and
 // infinite inputs into the edge buckets instead of panicking: a
 // degenerate modeled latency degrades the histogram, never the run.
+// Bucket i > 0 holds latencies from 0.25·1.25^(i-1) up to 0.25·1.25^i,
+// the top bucket is open-ended, and the boundaries are exactly where
+//
+//	int(math.Log(ms/0.25)/math.Log(1.25)) + 1
+//
+// changes value, rounding of math.Log included. A six-step search of
+// bucketStart finds the bucket without calling math.Log; NaN fails
+// every comparison and lands in bucket 0.
 func BucketIndex(ms float64) int {
-	if !(ms > histBaseMs) { // also catches NaN, zero, negatives
-		return 0
+	i := 0
+	for step := histBuckets / 2; step > 0; step /= 2 {
+		if bucketStart[i+step] <= ms {
+			i += step
+		}
 	}
-	idx := int(math.Log(ms/histBaseMs)/math.Log(histGrowth)) + 1
-	if idx >= histBuckets || idx < 0 { // +Inf yields a huge or wrapped index
-		return histBuckets - 1
-	}
-	return idx
+	return i
 }
+
+// bucketStart[i] is the smallest float64 in bucket i or above;
+// bucketStart[0] is -Inf. For ms > 0.25 the formula above yields at
+// least i exactly when math.Log(ms/0.25)/math.Log(1.25) >= i-1, a
+// condition that only turns from false to true as ms grows. Positive
+// floats order like their bit patterns, so bisecting bit patterns on
+// that condition finds each start exactly, and BucketIndex returns the
+// largest i whose start is <= ms.
+var bucketStart = func() (t [histBuckets]float64) {
+	t[0] = math.Inf(-1)
+	logGrowth := math.Log(histGrowth)
+	lo := math.Float64bits(histBaseMs) // 0.25 itself is bucket 0
+	for i := 1; i < histBuckets; i++ {
+		hi := math.Float64bits(math.Inf(1)) // +Inf is in the top bucket
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if math.Log(math.Float64frombits(mid)/histBaseMs)/logGrowth >= float64(i-1) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		t[i] = math.Float64frombits(hi)
+	}
+	return t
+}()
 
 // exemplar ties a kept trace to the histogram bucket its latency landed
 // in — the OpenMetrics exemplar idea on the sim clock.
@@ -60,33 +93,34 @@ func (h *hist) enableExemplars() {
 	}
 }
 
-// add records n observations at ms.
-func (h *hist) add(ms float64, n int64) {
+// add records n observations at ms, whose bucket the caller looked up
+// once as b = BucketIndex(ms).
+func (h *hist) add(b int, ms float64, n int64) {
 	if n <= 0 {
 		return
 	}
 	if math.IsNaN(ms) || ms < 0 {
 		ms = 0
 	}
-	h.counts[BucketIndex(ms)] += n
+	h.counts[b] += n
 	h.total += n
 	h.sum += ms * float64(n)
 }
 
-// needsExemplar reports whether the bucket for ms has no exemplar yet.
-// False when exemplars are disabled.
-func (h *hist) needsExemplar(ms float64) bool {
-	return h.ex != nil && h.ex[BucketIndex(ms)].id == 0
+// needsExemplar reports whether bucket b has no exemplar yet. False
+// when exemplars are disabled.
+func (h *hist) needsExemplar(b int) bool {
+	return h.ex != nil && h.ex[b].id == 0
 }
 
-// setExemplar attaches a kept trace to ms's bucket; the first trace
-// into a bucket wins so the exemplar is the one the sampler kept for
-// that reason.
-func (h *hist) setExemplar(ms float64, id uint64) {
+// setExemplar attaches a kept trace at latency ms to its bucket b; the
+// first trace into a bucket wins so the exemplar is the one the sampler
+// kept for that reason.
+func (h *hist) setExemplar(b int, ms float64, id uint64) {
 	if h.ex == nil || id == 0 {
 		return
 	}
-	if e := &h.ex[BucketIndex(ms)]; e.id == 0 {
+	if e := &h.ex[b]; e.id == 0 {
 		e.id = id
 		e.ms = ms
 	}

@@ -74,7 +74,7 @@ func TestHistQuantileEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var h hist
 			for _, a := range tc.add {
-				h.add(a.ms, int64(a.n))
+				h.add(BucketIndex(a.ms), a.ms, int64(a.n))
 			}
 			if got := h.quantileBucket(tc.q); got != tc.wantBucket {
 				t.Fatalf("quantileBucket(%v) = %d, want %d", tc.q, got, tc.wantBucket)
@@ -94,12 +94,12 @@ func TestHistQuantileEdges(t *testing.T) {
 // dropped rather than corrupting the totals.
 func TestHistAddIgnoresNonPositiveCounts(t *testing.T) {
 	var h hist
-	h.add(5, 0)
-	h.add(5, -3)
+	h.add(BucketIndex(5), 5, 0)
+	h.add(BucketIndex(5), 5, -3)
 	if h.total != 0 || h.sum != 0 {
 		t.Fatalf("non-positive adds leaked: total=%d sum=%g", h.total, h.sum)
 	}
-	h.add(5, 2)
+	h.add(BucketIndex(5), 5, 2)
 	if h.total != 2 || h.sum != 10 {
 		t.Fatalf("add(5,2): total=%d sum=%g", h.total, h.sum)
 	}
@@ -110,25 +110,25 @@ func TestHistAddIgnoresNonPositiveCounts(t *testing.T) {
 // table, and mergeExemplars adopts only into empty buckets.
 func TestHistExemplars(t *testing.T) {
 	var h hist
-	if h.needsExemplar(5) {
+	if h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("needsExemplar must be false with exemplars disabled")
 	}
-	h.setExemplar(5, 42) // no-op, must not panic
+	h.setExemplar(BucketIndex(5), 5, 42) // no-op, must not panic
 	if h.exemplarAt(BucketIndex(5)) != (exemplar{}) {
 		t.Fatal("disabled hist returned an exemplar")
 	}
 
 	h.enableExemplars()
 	h.enableExemplars() // idempotent
-	if !h.needsExemplar(5) {
+	if !h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("empty bucket should need an exemplar")
 	}
-	h.setExemplar(5, 0) // id 0 is "none", must not claim the slot
-	if !h.needsExemplar(5) {
+	h.setExemplar(BucketIndex(5), 5, 0) // id 0 is "none", must not claim the slot
+	if !h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("id 0 must not claim a bucket")
 	}
-	h.setExemplar(5, 42)
-	h.setExemplar(5.1, 99) // same bucket: first wins
+	h.setExemplar(BucketIndex(5), 5, 42)
+	h.setExemplar(BucketIndex(5.1), 5.1, 99) // same bucket: first wins
 	if got := h.exemplarAt(BucketIndex(5)); got.id != 42 || got.ms != 5 {
 		t.Fatalf("exemplar = %+v, want id 42 ms 5", got)
 	}
@@ -138,8 +138,8 @@ func TestHistExemplars(t *testing.T) {
 
 	var other hist
 	other.enableExemplars()
-	other.setExemplar(5, 7)    // h already has bucket(5) -> not adopted
-	other.setExemplar(500, 11) // h lacks bucket(500) -> adopted
+	other.setExemplar(BucketIndex(5), 5, 7)      // h already has bucket(5) -> not adopted
+	other.setExemplar(BucketIndex(500), 500, 11) // h lacks bucket(500) -> adopted
 	h.mergeExemplars(&other)
 	if got := h.exemplarAt(BucketIndex(5)); got.id != 42 {
 		t.Fatalf("mergeExemplars overwrote a held bucket: %+v", got)
@@ -148,7 +148,7 @@ func TestHistExemplars(t *testing.T) {
 		t.Fatalf("mergeExemplars did not adopt empty bucket: %+v", got)
 	}
 
-	h.add(5, 3)
+	h.add(BucketIndex(5), 5, 3)
 	h.reset()
 	if h.total != 0 {
 		t.Fatal("reset kept counts")
@@ -156,7 +156,7 @@ func TestHistExemplars(t *testing.T) {
 	if h.ex == nil {
 		t.Fatal("reset dropped the exemplar table")
 	}
-	if !h.needsExemplar(5) {
+	if !h.needsExemplar(BucketIndex(5)) {
 		t.Fatal("reset must clear exemplars")
 	}
 }
@@ -168,8 +168,8 @@ func TestHistMergeSkipsExemplars(t *testing.T) {
 	var a, b hist
 	a.enableExemplars()
 	b.enableExemplars()
-	b.add(5, 4)
-	b.setExemplar(5, 9)
+	b.add(BucketIndex(5), 5, 4)
+	b.setExemplar(BucketIndex(5), 5, 9)
 
 	copied := a // value copy: shares a.ex
 	copied.merge(&b)
@@ -182,4 +182,89 @@ func TestHistMergeSkipsExemplars(t *testing.T) {
 	if copied.sum != b.sum {
 		t.Fatalf("merge lost sum: %g != %g", copied.sum, b.sum)
 	}
+}
+
+// logBucketIndex is the histogram's defining formula, computed with
+// math.Log on every call. BucketIndex must return exactly what it
+// returns for every float64.
+func logBucketIndex(ms float64) int {
+	if !(ms > histBaseMs) { // also catches NaN, zero, negatives
+		return 0
+	}
+	idx := int(math.Log(ms/histBaseMs)/math.Log(histGrowth)) + 1
+	if idx >= histBuckets || idx < 0 { // +Inf yields a huge or wrapped index
+		return histBuckets - 1
+	}
+	return idx
+}
+
+// bucketEdgeValues are the inputs at the ends of the float64 line and
+// around the base bound, where clamping rather than the log decides.
+var bucketEdgeValues = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	-1, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1022, math.MaxFloat64, math.MaxFloat64 / 4, math.MaxFloat64/4 + 0x1p970,
+	histBaseMs, math.Nextafter(histBaseMs, 0), math.Nextafter(histBaseMs, 1),
+	1e12, 1e300,
+}
+
+// checkBucketAround compares BucketIndex with the log formula at x and
+// the floats up to k ulps either side of it.
+func checkBucketAround(t *testing.T, x float64, k int) {
+	t.Helper()
+	lo, hi := x, x
+	for j := 0; j <= k; j++ {
+		for _, v := range []float64{lo, hi} {
+			if got, want := BucketIndex(v), logBucketIndex(v); got != want {
+				t.Fatalf("BucketIndex(%v) = %d, log formula %d (%#x)", v, got, want, math.Float64bits(v))
+			}
+		}
+		lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+	}
+}
+
+// TestBucketStartsAreExact pins the table itself: each start is in its
+// bucket by the log formula, and the float just below it is not.
+func TestBucketStartsAreExact(t *testing.T) {
+	for i := 1; i < histBuckets; i++ {
+		x := bucketStart[i]
+		if got := logBucketIndex(x); got != i {
+			t.Fatalf("bucketStart[%d] = %v is in bucket %d", i, x, got)
+		}
+		if got := logBucketIndex(math.Nextafter(x, 0)); got != i-1 {
+			t.Fatalf("the float below bucketStart[%d] = %v is in bucket %d, want %d", i, x, got, i-1)
+		}
+	}
+}
+
+// TestBucketIndexMatchesLogAtBoundaries checks every bucket boundary —
+// each table start and each BucketBound, ±1 ulp and a little further —
+// and the edge values.
+func TestBucketIndexMatchesLogAtBoundaries(t *testing.T) {
+	for i := 0; i < histBuckets; i++ {
+		if i > 0 {
+			checkBucketAround(t, bucketStart[i], 64)
+		}
+		checkBucketAround(t, BucketBound(i), 64)
+	}
+	for _, x := range bucketEdgeValues {
+		checkBucketAround(t, x, 1)
+	}
+}
+
+// FuzzBucketIndexMatchesLog compares BucketIndex with the log formula
+// over arbitrary float64 bit patterns.
+func FuzzBucketIndexMatchesLog(f *testing.F) {
+	for _, x := range bucketEdgeValues {
+		f.Add(math.Float64bits(x))
+	}
+	for i := 1; i < histBuckets; i++ {
+		f.Add(math.Float64bits(bucketStart[i]))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		if got, want := BucketIndex(x), logBucketIndex(x); got != want {
+			t.Fatalf("BucketIndex(%v) = %d, log formula %d (%#x)", x, got, want, bits)
+		}
+	})
 }
