@@ -44,12 +44,6 @@ type Spec struct {
 	// Seed drives every random choice the engine makes. Two runs of the
 	// same spec, seed, and workload inject identical faults.
 	Seed uint64 `json:"seed"`
-	// DisableDegradedMode leaves the PLB in its normal posture instead
-	// of enabling storm throttling, quarantine, and staleness checks.
-	DisableDegradedMode bool `json:"disableDegradedMode,omitempty"`
-	// DisableInvariantChecks skips attaching the continuous invariant
-	// checker (it validates the full cluster after every event).
-	DisableInvariantChecks bool `json:"disableInvariantChecks,omitempty"`
 	// Faults is the schedule.
 	Faults []Fault `json:"faults"`
 }
@@ -295,12 +289,8 @@ func (e *Engine) Start(from time.Time) {
 	}
 	e.started = true
 	e.cluster.SetFaultInjector(e)
-	if !e.spec.DisableDegradedMode {
-		e.cluster.EnableDegradedMode()
-	}
-	if !e.spec.DisableInvariantChecks {
-		e.checker = fabric.NewInvariantChecker(e.cluster)
-	}
+	e.cluster.EnableDegradedMode()
+	e.checker = fabric.NewInvariantChecker(e.cluster)
 	for i := range e.spec.Faults {
 		e.scheduleFault(from, e.spec.Faults[i])
 		e.stats.FaultsScheduled++

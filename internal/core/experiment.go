@@ -326,6 +326,11 @@ func Run(s *Scenario) (*Result, error) {
 			s.Obs.Gauge("traffic.hedges_denied").Set(float64(st.HedgesDenied))
 			s.Obs.Gauge("traffic.hedge_wins").Set(float64(st.HedgeWins))
 		}
+		// The hourly flush at the window's end runs before that instant's
+		// last tick; Stop folds the ticks since into the exported latency
+		// histogram, so /metrics and the journal's final snapshot count
+		// every served request.
+		trafficEng.Stop()
 	}
 	// Read alert stats before the deferred Stop tears the engine down.
 	if eng := o.Alerts(); eng != nil && eng.RuleCount() > 0 {

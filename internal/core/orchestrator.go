@@ -69,9 +69,6 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	cfg.Obs = s.Obs
 	cfg.FaultDomains = s.FaultDomains
 	cfg.UpgradeDomains = s.UpgradeDomains
-	if s.PLBScanInterval > 0 {
-		cfg.ScanInterval = s.PLBScanInterval
-	}
 	if s.FabricOverrides != nil {
 		s.FabricOverrides(&cfg)
 	}
@@ -116,7 +113,7 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 		o.managers[n.ID] = mgr
 	}
 
-	o.Recorder = telemetry.NewRecorder(clock, cluster, s.TelemetryInterval, s.NodeTelemetryInterval, func(svc *fabric.Service) slo.Edition {
+	o.Recorder = telemetry.NewRecorder(clock, cluster, telemetryInterval, s.NodeTelemetryInterval, func(svc *fabric.Service) slo.Edition {
 		e, err := controlplane.ServiceEdition(svc)
 		if err != nil {
 			return slo.StandardGP
@@ -279,11 +276,9 @@ func (o *Orchestrator) Start() {
 	o.tickers = append(o.tickers, o.Clock.Every(interval, func(now time.Time) {
 		o.reportDisk(now)
 	}))
-	if o.Scenario.MemoryReportInterval > 0 {
-		o.tickers = append(o.tickers, o.Clock.Every(o.Scenario.MemoryReportInterval, func(now time.Time) {
-			o.reportMemory(now)
-		}))
-	}
+	o.tickers = append(o.tickers, o.Clock.Every(memoryReportInterval, func(now time.Time) {
+		o.reportMemory(now)
+	}))
 	if o.obs != nil {
 		// Hourly heartbeat band on the sim timeline: each simulated hour
 		// becomes one span carrying the headline cluster state, so a trace

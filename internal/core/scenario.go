@@ -23,6 +23,16 @@ import (
 	"toto/internal/traffic"
 )
 
+// Fixed sampling and reporting periods of every run (§5.2): cluster-level
+// telemetry samples are hourly, as in the paper's figures, and memory is
+// reported every 20 minutes. The PLB's violation-scan period is the
+// fabric default (fabric.DefaultConfig().ScanInterval), which
+// FabricOverrides can change.
+const (
+	telemetryInterval    = time.Hour
+	memoryReportInterval = 20 * time.Minute
+)
+
 // ScenarioEpoch is the default simulated start instant: a Monday at
 // midnight, so weekday/weekend model cells line up predictably.
 var ScenarioEpoch = time.Date(2020, time.June, 1, 0, 0, 0, 0, time.UTC)
@@ -83,17 +93,9 @@ type Scenario struct {
 	// ModelRefreshInterval is how often RgManagers re-read the model XML
 	// (15 minutes in the paper).
 	ModelRefreshInterval time.Duration
-	// TelemetryInterval spaces cluster-level samples (hourly in the
-	// paper's figures).
-	TelemetryInterval time.Duration
 	// NodeTelemetryInterval spaces node-level samples (10 minutes for
 	// the Figure 13 analysis).
 	NodeTelemetryInterval time.Duration
-	// PLBScanInterval is the violation-scan period.
-	PLBScanInterval time.Duration
-	// MemoryReportInterval spaces memory reports (0 disables them even
-	// if a memory model exists).
-	MemoryReportInterval time.Duration
 	// FaultDomains and UpgradeDomains, when positive, stripe the
 	// cluster's nodes over that many fault and upgrade domains (node i
 	// lands in domain i % count): placement spreads each replica set
@@ -290,10 +292,7 @@ func DefaultScenario(name string, density float64, set *models.ModelSet, seeds S
 		Catalog:               slo.Gen5(),
 		Seeds:                 seeds,
 		ModelRefreshInterval:  15 * time.Minute,
-		TelemetryInterval:     time.Hour,
 		NodeTelemetryInterval: 10 * time.Minute,
-		PLBScanInterval:       5 * time.Minute,
-		MemoryReportInterval:  20 * time.Minute,
 	}
 }
 

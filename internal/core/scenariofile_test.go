@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +71,15 @@ func TestParseScenarioFileRejectsTypos(t *testing.T) {
 	}
 	if _, err := ParseScenarioFile([]byte(`{"days": -1}`)); err == nil {
 		t.Error("negative days accepted")
+	}
+	// Knobs the traffic and chaos specs no longer carry fail by name.
+	for key, doc := range map[string]string{
+		"queueDepth":             `{"traffic": {"seed": 1, "queueDepth": 4}}`,
+		"disableInvariantChecks": `{"chaos": {"seed": 1, "disableInvariantChecks": true, "faults": []}}`,
+	} {
+		if _, err := ParseScenarioFile([]byte(doc)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("removed key %s: error %v", key, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"toto/internal/obs"
 	"toto/internal/obs/journal"
 	"toto/internal/traffic"
 )
@@ -160,5 +161,34 @@ func TestTrafficWeekScenario(t *testing.T) {
 	t.Logf("alert stats: %+v", *res.Alerts)
 	if res.Alerts.ByRule["traffic-error-rate"] == 0 {
 		t.Error("traffic-error-rate alert never fired across the fault week")
+	}
+}
+
+// TestTrafficLatencyExportCountsEveryRequest pins the exported latency
+// histogram against the plane's own totals: after Run, the
+// traffic.latency_ms histogram in the metrics registry (what /metrics
+// serves and the journal's final snapshot records) holds one observation
+// per successful request, Arrivals − Failed — including the window's
+// last tick and, for a window that is not a whole number of hours, the
+// final partial hour.
+func TestTrafficLatencyExportCountsEveryRequest(t *testing.T) {
+	for _, window := range []time.Duration{90 * time.Minute, 2 * time.Hour} {
+		sc := DefaultScenario("export", 1.0, DefaultModels().Set, testSeeds())
+		sc.BootstrapDuration = 2 * time.Hour
+		sc.Duration = window
+		sc.Traffic = &traffic.Spec{Seed: 7}
+		sc.Obs = obs.New(obs.Options{})
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%v window: Run: %v", window, err)
+		}
+		st := res.Traffic
+		h, ok := sc.Obs.Registry().Snapshot().Histograms[traffic.PromHistogramName]
+		if !ok {
+			t.Fatalf("%v window: %s not exported", window, traffic.PromHistogramName)
+		}
+		if want := st.Arrivals - st.Failed; want <= 0 || h.Count != want {
+			t.Errorf("%v window: exported %d latency observations, want Arrivals−Failed = %d", window, h.Count, want)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package reqtrace is per-request distributed tracing for the simulated
 // traffic plane. Every served request group carries a span tree —
-// arrival → queue wait → admission → breaker decision → dispatch
+// arrival → admission → breaker decision → dispatch
 // (node, utilization at dispatch) → retry backoff → completion or
 // failure — assembled in place from pooled buffers so the traffic hot
 // path never allocates for a trace it ends up dropping.
@@ -34,7 +34,6 @@ import (
 // Span names the engine emits, in path order.
 const (
 	SpanArrival   = "arrival"
-	SpanQueueWait = "queue-wait"
 	SpanAdmission = "admission"
 	SpanBreaker   = "breaker"
 	SpanDispatch  = "dispatch"

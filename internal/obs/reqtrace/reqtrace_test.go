@@ -12,10 +12,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	traces := []Trace{
 		{
 			ID: 0xdeadbeefcafe1234, Outcome: OutcomeOK, Count: 812,
-			LatencyMs: 3.0000000000000004, Retries: 0,
+			LatencyMs: 3.0000000000000004, Retries: 1,
 			Spans: []Span{
 				{Name: SpanArrival, StartMs: 0, DurMs: 0},
-				{Name: SpanQueueWait, StartMs: 0, DurMs: 2.5},
+				{Name: SpanBackoff, StartMs: 0, DurMs: 2.5},
 				{Name: SpanDispatch, StartMs: 2.5, DurMs: 0.5000000000000001, Node: "node-7", Util: 0.8499999999999999},
 				{Name: SpanComplete, StartMs: 3.0000000000000004, DurMs: 0},
 			},

@@ -42,6 +42,23 @@ var legalTransitions = map[[2]BreakerState]bool{
 	{BreakerHalfOpen, BreakerClosed}: true, // probes succeeded
 }
 
+// BreakerSpec configures a circuit breaker. The engine builds every
+// breaker from breakerConfig.
+type BreakerSpec struct {
+	// FailureThreshold is the failure fraction that trips a closed
+	// breaker once a window of MinRequests has been observed.
+	FailureThreshold float64
+	// MinRequests is the closed-state observation window: the breaker
+	// never trips on fewer outcomes.
+	MinRequests int
+	// OpenSeconds is how long an open breaker rejects everything before
+	// letting probes through.
+	OpenSeconds float64
+	// HalfOpenProbes is exactly how many probe requests a half-open
+	// breaker admits before deciding.
+	HalfOpenProbes int
+}
+
 // Breaker is one service's circuit breaker. Closed it counts outcomes
 // over tumbling windows of MinRequests and trips when the failure
 // fraction reaches FailureThreshold; open it rejects everything for
@@ -49,7 +66,7 @@ var legalTransitions = map[[2]BreakerState]bool{
 // — one failed probe re-opens it, a full set of successes closes it.
 // Sim-goroutine only, like everything in this package.
 type Breaker struct {
-	cfg   BreakerSpec // resolved: no zero knobs
+	cfg   BreakerSpec
 	state BreakerState
 
 	openedAt time.Time
@@ -63,9 +80,8 @@ type Breaker struct {
 	probeOK      int
 }
 
-// NewBreaker builds a closed breaker from a resolved spec (the engine
-// resolves defaults; direct construction clamps the window knobs so a
-// zero-valued spec cannot divide by zero or trip on nothing).
+// NewBreaker builds a closed breaker from cfg, clamping the window knobs
+// so a zero-valued config cannot divide by zero or trip on nothing.
 func NewBreaker(cfg BreakerSpec) *Breaker {
 	if cfg.MinRequests < 1 {
 		cfg.MinRequests = 1

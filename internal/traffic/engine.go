@@ -88,7 +88,6 @@ type anchor struct {
 type Stats struct {
 	Arrivals        int64 // open-loop requests generated
 	Admitted        int64 // past the front-end token bucket
-	Queued          int64 // tick-end queue occupancy, summed
 	Shed            int64 // dropped on admission overflow
 	BreakerRejected int64 // rejected by an open breaker
 	Dispatched      int64 // attempts sent to backends, retries included
@@ -123,8 +122,7 @@ type svcState struct {
 	retryTokens float64
 	// hedge is the service's hedge budget — a separate bucket from
 	// retryTokens by design: hedges and retries may never trade tokens.
-	hedge  hedgeBudget
-	queued int
+	hedge hedgeBudget
 	// openSeq/openKind chain the breaker lifecycle: the open annotation's
 	// journal seq and root cause, so half-open and closed chain to it.
 	openSeq  uint64
@@ -138,20 +136,18 @@ type svcState struct {
 type Engine struct {
 	clock   *simclock.Clock
 	cluster *fabric.Cluster
-	spec    Spec // resolved: no zero knobs
+	spec    Spec // resolved: defaults filled in
 	store   *timeseries.Store
 	o       *obs.Obs
 
-	// One independent stream per randomness channel, so an error draw can
-	// never perturb an arrival count.
+	// One independent stream per randomness channel, so a backoff draw
+	// can never perturb an arrival count.
 	arrivalRnd *rng.Source
-	errorRnd   *rng.Source
 	latencyRnd *rng.Source
 
-	tickEvery time.Duration
-	tokens    float64
-	svc       map[string]*svcState
-	anchors   map[string]anchor
+	tokens  float64
+	svc     map[string]*svcState
+	anchors map[string]anchor
 
 	ticker  *simclock.Ticker
 	flusher *simclock.Ticker
@@ -207,7 +203,7 @@ type Engine struct {
 // to let the engine build one from spec.Reqtrace (or run untraced when
 // that is nil too). The recorder's sampler is seeded from a dedicated
 // split of the traffic seed, so enabling tracing never perturbs the
-// arrival, error, or latency streams.
+// arrival or latency streams.
 func NewEngine(clock *simclock.Clock, cluster *fabric.Cluster, spec *Spec, store *timeseries.Store, o *obs.Obs, rec *reqtrace.Recorder) (*Engine, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("traffic: nil spec")
@@ -230,9 +226,7 @@ func NewEngine(clock *simclock.Clock, cluster *fabric.Cluster, spec *Spec, store
 		store:      store,
 		o:          o,
 		arrivalRnd: root.Split("arrivals"),
-		errorRnd:   root.Split("errors"),
 		latencyRnd: root.Split("latency"),
-		tickEvery:  time.Duration(resolved.TickSeconds * float64(time.Second)),
 		svc:        make(map[string]*svcState),
 		anchors:    make(map[string]anchor),
 		rec:        rec,
@@ -254,7 +248,7 @@ func (e *Engine) Start(from time.Time) {
 	e.started = true
 	e.cluster.SubscribeAnnotations(e.onAnnotation)
 	e.cluster.Subscribe(e.onEvent)
-	e.ticker = e.clock.Every(e.tickEvery, e.tick)
+	e.ticker = e.clock.Every(tickSeconds*time.Second, e.tick)
 	e.flusher = e.clock.Every(time.Hour, e.flush)
 	e.o.Instant("traffic.start",
 		obs.I64("seed", int64(e.spec.Seed)),
@@ -298,10 +292,6 @@ func (e *Engine) Stats() Stats {
 	}
 	return st
 }
-
-// Recorder exposes the engine's trace recorder (nil when tracing is
-// off) so serving layers can query the kept-trace ring.
-func (e *Engine) Recorder() *reqtrace.Recorder { return e.rec }
 
 // onAnnotation tracks causal anchors, mirroring the alert engine. The
 // traffic plane's own annotations are not anchors (AnchorClass returns
@@ -359,7 +349,7 @@ func (e *Engine) annotate(kind string, now time.Time, svc string, value, limit f
 func (e *Engine) tick(now time.Time) {
 	shape := trace.DiurnalShape(now.Hour())
 	if wd := now.Weekday(); wd == time.Saturday || wd == time.Sunday {
-		shape *= e.spec.WeekendFactor
+		shape *= weekendFactor
 	}
 
 	// One snapshot of the live services per tick: sum their reserved
@@ -382,9 +372,9 @@ func (e *Engine) tick(now time.Time) {
 	// The front end is provisioned for peak demand; losing nodes shrinks
 	// it proportionally, which is where graceful degradation comes from:
 	// overflow is shed at the door instead of melting the survivors.
-	refill := e.spec.AdmitFactor * e.spec.PerCoreRPS * reserved * upFrac * e.spec.TickSeconds
+	refill := admitFactor * e.spec.PerCoreRPS * reserved * upFrac * tickSeconds
 	e.tokens += refill
-	if burst := refill * e.spec.BurstTicks; e.tokens > burst {
+	if burst := refill * burstTicks; e.tokens > burst {
 		e.tokens = burst
 	}
 
@@ -401,13 +391,13 @@ func (e *Engine) tick(now time.Time) {
 }
 
 // serveOne runs one service's tick: open-loop arrivals, admission with
-// bounded queueing and shedding, the circuit breaker, dispatch against
-// the service's serving state, budgeted retries, and latency accounting.
-// premium is the service's traffic class, as isPremium resolved it.
+// shedding, the circuit breaker, dispatch against the service's serving
+// state, budgeted retries, and latency accounting. premium is the
+// service's traffic class, as isPremium resolved it.
 func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premium bool) {
 	st := e.svc[s.Name]
 	if st == nil {
-		st = &svcState{br: NewBreaker(e.spec.Breaker)}
+		st = &svcState{br: NewBreaker(breakerConfig)}
 		e.svc[s.Name] = st
 	}
 	// Trace group indices restart per (tick, service) so trace IDs —
@@ -417,7 +407,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 	e.curHedge = nil
 	e.tickHedges, e.tickHedgeDeny, e.tickHedgeWins = 0, 0, 0
 
-	mean := e.spec.PerCoreRPS * s.TotalReservedCores() * shape * e.spec.TickSeconds
+	mean := e.spec.PerCoreRPS * s.TotalReservedCores() * shape * tickSeconds
 	n := 0
 	if mean > 0 {
 		n = e.arrivalRnd.Poisson(mean)
@@ -425,38 +415,23 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 	e.stats.Arrivals += int64(n)
 	e.hourArrivals += int64(n)
 
-	// Admission: requests queued last tick drain first, then fresh
-	// arrivals; overflow beyond the bounded queue is shed — journaled,
-	// never silent.
-	waited := st.queued
-	demand := waited + n
-	take := demand
+	// Admission: arrivals beyond the tokens left in the shared bucket are
+	// shed — journaled, never silent.
+	take := n
 	if t := int(e.tokens); t < take {
 		take = t
 	}
 	e.tokens -= float64(take)
-	overflow := demand - take
-	st.queued = overflow
-	depth := e.spec.QueueDepth
-	if premium {
-		// The premium admission weight: a deeper overflow queue, so
-		// premium spillover waits out a burst that sheds standard load.
-		depth = int(float64(depth) * e.spec.Classes.PremiumWeight)
-	}
-	if st.queued > depth {
-		st.queued = depth
-	}
-	if shed := overflow - st.queued; shed > 0 {
+	if shed := n - take; shed > 0 {
 		e.stats.Shed += int64(shed)
 		e.hourShed += int64(shed)
 		e.hourFailed += int64(shed)
 		aSeq, aKind := e.bestAnchor(now)
-		e.annotate(KindRequestShed, now, s.Name, float64(shed), float64(demand), "admission-overflow", aSeq, aKind)
+		e.annotate(KindRequestShed, now, s.Name, float64(shed), float64(n), "admission-overflow", aSeq, aKind)
 		if e.rec != nil {
 			e.traceFail(now, s.Name, reqtrace.OutcomeShed, int64(shed), 0, aSeq, aKind)
 		}
 	}
-	e.stats.Queued += int64(st.queued)
 	e.stats.Admitted += int64(take)
 
 	// Circuit breaker: an open breaker whose window elapsed flips to
@@ -467,7 +442,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 	if postAdmit == BreakerHalfOpen && preAdmit == BreakerOpen {
 		e.stats.BreakerHalfOpens++
 		st.openSeq = e.annotate(KindBreakerHalfOpen, now, s.Name,
-			float64(e.spec.Breaker.HalfOpenProbes), 0, "probing", st.openSeq, st.openKind)
+			float64(breakerConfig.HalfOpenProbes), 0, "probing", st.openSeq, st.openKind)
 	}
 	if rejected > 0 {
 		e.stats.BreakerRejected += int64(rejected)
@@ -486,14 +461,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 	case fabric.ServingDown:
 		fail = pass
 	case fabric.ServingDegraded:
-		fail = int(float64(pass)*e.spec.DegradedErrorRate + 0.5)
-	default:
-		if e.spec.BaseErrorRate > 0 && pass > 0 {
-			fail = e.errorRnd.Poisson(float64(pass) * e.spec.BaseErrorRate)
-			if fail > pass {
-				fail = pass
-			}
-		}
+		fail = int(float64(pass)*degradedErrorRate + 0.5)
 	}
 	e.stats.Dispatched += int64(pass)
 
@@ -518,12 +486,12 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 	}
 
 	// Retries: the budget refills from fresh arrivals only, so a retry
-	// storm is capped at BudgetRatio of offered load — no amplification.
-	st.retryTokens += float64(n) * e.spec.Retry.BudgetRatio
-	if limit := mean*e.spec.Retry.BudgetRatio*budgetBurstTicks + 1; st.retryTokens > limit {
+	// storm is capped at retryBudgetRatio of offered load — no amplification.
+	st.retryTokens += float64(n) * retryBudgetRatio
+	if limit := mean*retryBudgetRatio*budgetBurstTicks + 1; st.retryTokens > limit {
 		st.retryTokens = limit
 	}
-	desired := fail * (e.spec.Retry.MaxAttempts - 1)
+	desired := fail * (retryMaxAttempts - 1)
 	granted := desired
 	if g := int(st.retryTokens); g < granted {
 		granted = g
@@ -538,17 +506,14 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 	e.stats.Dispatched += int64(granted)
 
 	// Retries rescue transient failures (a degraded primary answers half
-	// the time, a healthy one nearly always) but not a down service.
+	// the time) but not a down service.
 	retriable := fail
 	if granted < retriable {
 		retriable = granted
 	}
 	saved := 0
-	switch health {
-	case fabric.ServingDegraded:
+	if health == fabric.ServingDegraded {
 		saved = retriable / 2
-	case fabric.ServingHealthy:
-		saved = retriable
 	}
 	errors := fail - saved
 	if errors > 0 {
@@ -558,11 +523,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 		e.annotate(KindRequestErrors, now, s.Name, float64(errors), float64(pass), health.String(), aSeq, aKind)
 		if e.rec != nil {
 			// Retried-then-failed attempts belong to the error group.
-			failedRetries := retriable - saved
-			if failedRetries < 0 {
-				failedRetries = 0
-			}
-			e.traceError(now, s.Name, int64(errors), meanMs, failedRetries, aSeq, aKind)
+			e.traceError(now, s.Name, int64(errors), meanMs, retriable-saved, aSeq, aKind)
 		}
 	}
 
@@ -589,28 +550,19 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 		st.openSeq, st.openKind = 0, fabric.CauseNone
 	}
 
-	// Latency accounting for the requests that succeeded: queue-drained
-	// requests waited about half a tick, retried ones their backoff.
-	okCount := pass - errors
-	if okCount <= 0 {
+	// Latency accounting for the requests that succeeded: the saved ones
+	// waited their retry backoff, the rest (pass-fail of them) succeeded
+	// first time.
+	if pass-errors <= 0 {
 		return
-	}
-	if saved > okCount {
-		saved = okCount
-	}
-	fromQueue := waited
-	if fromQueue > okCount-saved {
-		fromQueue = okCount - saved
 	}
 	// backoffMs draws from the latency stream unconditionally — it must
 	// stay a single call here so enabling tracing never shifts the rng.
 	back := e.backoffMs()
-	queueMs := e.spec.TickSeconds * 1000 / 2
-	e.observe(now, s.Name, saved, meanMs+back, 0, back, 1, false)
-	e.observe(now, s.Name, fromQueue, meanMs+queueMs, queueMs, 0, 0, false)
-	// Only the plain cells hedge: queue-drained and retried requests
-	// already paid a wait the hedge race would not have won.
-	e.observe(now, s.Name, okCount-saved-fromQueue, meanMs, 0, 0, 0, true)
+	e.observe(now, s.Name, saved, meanMs+back, back, 1, false)
+	// Only the first-attempt cells hedge: retried requests already paid a
+	// wait the hedge race would not have won.
+	e.observe(now, s.Name, pass-fail, meanMs, 0, 0, true)
 
 	if e.tickHedges > 0 {
 		e.stats.Hedges += e.tickHedges
@@ -636,10 +588,10 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 // effect it arms the hedge scratch: the class hedge delay and the
 // speculative path's latency on the best other replica.
 func (e *Engine) latencyMs(s *fabric.Service, pass int, now time.Time, premium bool) float64 {
-	batches := (pass + e.spec.BatchSize - 1) / e.spec.BatchSize
+	batches := (pass + batchSize - 1) / batchSize
 	e.stats.Batches += int64(batches)
 	fill := float64(pass) / float64(batches)
-	m := e.spec.OverheadMs/fill + e.spec.BaseLatencyMs
+	m := overheadMs/fill + baseLatencyMs
 	e.hedgeDelayMs, e.hedgeAltMs, e.hedgeAltNode = 0, 0, ""
 	p := s.Primary()
 	if p == nil || p.Node == nil {
@@ -652,16 +604,16 @@ func (e *Engine) latencyMs(s *fabric.Service, pass int, now time.Time, premium b
 		}
 	}
 	svcMs, util := e.nodeServiceMs(serving, now)
-	m = e.spec.OverheadMs/fill + svcMs
+	m = overheadMs/fill + svcMs
 	e.lastNode, e.lastUtil = serving.ID, util
 	if e.spec.Hedge != nil {
 		if alt := e.leastLoadedReplica(s, now, serving); alt != nil {
 			altMs, _ := e.nodeServiceMs(alt, now)
-			e.hedgeAltMs = e.spec.OverheadMs/fill + altMs
+			e.hedgeAltMs = overheadMs/fill + altMs
 			e.hedgeAltNode = alt.ID
-			mult := e.spec.Hedge.DelayMultiple
+			mult := hedgeDelayMultiple
 			if premium {
-				mult = e.spec.Hedge.PremiumDelayMultiple
+				mult = premiumHedgeDelayMultiple
 			}
 			// The hedge delay is relative to the alternate route, not an
 			// absolute baseline: it self-calibrates to whatever the
@@ -673,28 +625,10 @@ func (e *Engine) latencyMs(s *fabric.Service, pass int, now time.Time, premium b
 	return m
 }
 
-// backoffMs is the modeled wait of a successful retry: the mean of the
-// exponential ladder min(base*2^k, max), jittered once per service tick.
+// backoffMs is the modeled wait of a successful retry: the backoff
+// ladder's mean, jittered once per service tick.
 func (e *Engine) backoffMs() float64 {
-	r := e.spec.Retry
-	total, steps := 0.0, 0
-	b := r.BackoffBaseMs
-	for k := 1; k < r.MaxAttempts; k++ {
-		if b > r.BackoffMaxMs {
-			b = r.BackoffMaxMs
-		}
-		total += b
-		steps++
-		b *= 2
-	}
-	if steps == 0 {
-		return 0
-	}
-	mean := total / float64(steps)
-	if r.Jitter > 0 {
-		mean *= 1 + r.Jitter*(e.latencyRnd.Float64()-0.5)
-	}
-	return mean
+	return backoffMeanMs * (1 + retryJitter*(e.latencyRnd.Float64()-0.5))
 }
 
 // latSpread turns a per-tick mean latency into a fixed distribution:
@@ -708,12 +642,12 @@ var latSpread = []struct{ cum, mult float64 }{
 	{1.00, 8.00},
 }
 
-// observe records count successful requests around mean ms. queueMs and
-// backMs are the queue-wait and retry-backoff components already inside
-// ms; the tracer scales them with the spread multiplier so a trace's
-// spans sum exactly to its recorded latency. hedge marks cells eligible
-// for hedged dispatch when the current tick qualifies.
-func (e *Engine) observe(now time.Time, svc string, count int, ms, queueMs, backMs float64, retries int, hedge bool) {
+// observe records count successful requests around mean ms. backMs is
+// the retry-backoff component already inside ms; the tracer scales it
+// with the spread multiplier so a trace's spans sum exactly to its
+// recorded latency. hedge marks cells eligible for hedged dispatch when
+// the current tick qualifies.
+func (e *Engine) observe(now time.Time, svc string, count int, ms, backMs float64, retries int, hedge bool) {
 	if count <= 0 {
 		return
 	}
@@ -724,13 +658,13 @@ func (e *Engine) observe(now time.Time, svc string, count int, ms, queueMs, back
 			upto = int64(count)
 		}
 		if k := upto - assigned; k > 0 {
-			e.observeCell(now, svc, k, qs.mult, ms, queueMs, backMs, retries, hedge)
+			e.observeCell(now, svc, k, qs.mult, ms, backMs, retries, hedge)
 			assigned = upto
 		}
 	}
 	if k := int64(count) - assigned; k > 0 {
 		mult := latSpread[len(latSpread)-1].mult
-		e.observeCell(now, svc, k, mult, ms, queueMs, backMs, retries, hedge)
+		e.observeCell(now, svc, k, mult, ms, backMs, retries, hedge)
 	}
 }
 
@@ -738,7 +672,7 @@ func (e *Engine) observe(now time.Time, svc string, count int, ms, queueMs, back
 // for hedging and the cell's latency outlives the hedge delay, as many
 // of its requests as the hedge budget grants race a speculative attempt
 // on the alternate replica and observe whichever path finished first.
-func (e *Engine) observeCell(now time.Time, svc string, k int64, mult, ms, queueMs, backMs float64, retries int, hedge bool) {
+func (e *Engine) observeCell(now time.Time, svc string, k int64, mult, ms, backMs float64, retries int, hedge bool) {
 	v := ms * mult
 	if hedge && e.curHedge != nil && v > e.hedgeDelayMs {
 		granted := int64(e.curHedge.hedge.grant(int(k)))
@@ -765,7 +699,7 @@ func (e *Engine) observeCell(now time.Time, svc string, k int64, mult, ms, queue
 	}
 	b := BucketIndex(v)
 	if e.rec != nil {
-		e.traceOK(now, svc, k, b, v, queueMs*mult, backMs*mult, retries)
+		e.traceOK(now, svc, k, b, v, backMs*mult, retries)
 	}
 	e.hourHist.add(b, v, k)
 }
@@ -813,28 +747,22 @@ func (e *Engine) traceError(now time.Time, svc string, count int64, meanMs float
 // latency v in histogram bucket b. The first trace into an empty bucket
 // is always kept as that bucket's exemplar; otherwise the deterministic
 // 1-in-N sampler rules.
-func (e *Engine) traceOK(now time.Time, svc string, count int64, b int, v, queueMs, backMs float64, retries int) {
+func (e *Engine) traceOK(now time.Time, svc string, count int64, b int, v, backMs float64, retries int) {
 	bucketFirst := e.hourHist.needsExemplar(b)
 	tr := e.rec.Begin(now.UnixNano(), svc)
 	tr.Add(reqtrace.SpanArrival, 0, 0)
-	off := 0.0
-	if queueMs > 0 {
-		tr.Add(reqtrace.SpanQueueWait, 0, queueMs)
-		off = queueMs
-	}
-	tr.Add(reqtrace.SpanAdmission, off, 0)
-	tr.Add(reqtrace.SpanBreaker, off, 0)
-	svcMs := v - queueMs - backMs
+	tr.Add(reqtrace.SpanAdmission, 0, 0)
+	tr.Add(reqtrace.SpanBreaker, 0, 0)
+	svcMs := v - backMs
 	if svcMs < 0 {
 		svcMs = 0
 	}
 	if backMs > 0 {
 		// A rescued retry: the first attempt's failure is folded into the
 		// backoff wait, then the successful attempt dispatches.
-		tr.Add(reqtrace.SpanBackoff, off, backMs)
-		off += backMs
+		tr.Add(reqtrace.SpanBackoff, 0, backMs)
 	}
-	tr.AddDispatch(off, svcMs, e.lastNode, e.lastUtil)
+	tr.AddDispatch(backMs, svcMs, e.lastNode, e.lastUtil)
 	tr.Add(reqtrace.SpanComplete, v, 0)
 	group := e.traceGroup
 	e.traceGroup++

@@ -13,6 +13,7 @@ import (
 	"toto/internal/fabric"
 	"toto/internal/obs"
 	"toto/internal/obs/journal"
+	"toto/internal/obs/reqtrace"
 	"toto/internal/rng"
 	"toto/internal/simclock"
 	"toto/internal/traffic"
@@ -233,6 +234,76 @@ func TestGrayfailDayDeterminism(t *testing.T) {
 			t.Errorf("grayfail day never emitted %q", kind)
 		}
 	}
+}
+
+// TestTracedHedgingLeavesPlaneUntouched runs the fully mitigated
+// gray-failure day with request tracing on. Tracing observes hedging
+// without steering it: the plane's stats and the gray-failure annotation
+// stream equal the untraced run's, and the kept traces include hedged
+// requests whose hedge span decodes and fits inside the recorded latency.
+func TestTracedHedgingLeavesPlaneUntouched(t *testing.T) {
+	run := func(spec traffic.Spec) (traffic.Stats, []journal.Entry) {
+		var buf bytes.Buffer
+		w := journal.NewWriter(&buf)
+		st, _ := runGrayfailDay(t, grayfailOpts{spec: spec, detect: true, slow: true, labels: true}, w)
+		if err := w.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		entries, err := journal.Read(&buf)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		return st, entries
+	}
+	untraced, _ := run(mitigatedSpec(29))
+	spec := mitigatedSpec(29)
+	// The day hedges only ~90 request groups, so sample successes densely
+	// enough that some hedged ones are kept.
+	spec.Reqtrace = &reqtrace.Spec{SampleOneIn: 20, RingSize: 64}
+	traced, entries := run(spec)
+
+	if traced.Reqtrace == nil {
+		t.Fatal("traced run reported no sampler stats")
+	}
+	if untraced.Hedges == 0 {
+		t.Fatal("the mitigated day granted no hedges")
+	}
+	u, tr := untraced, traced
+	tr.Reqtrace = nil
+	if u != tr {
+		t.Errorf("tracing changed the hedged plane's stats:\nuntraced %+v\ntraced   %+v", u, tr)
+	}
+	if h, n := grayfailStreamHash(entries); h != goldenGrayfailStreamHash || n != goldenGrayfailStreamCount {
+		t.Errorf("traced grayfail stream = %s/%d, want golden %s/%d", h, n, goldenGrayfailStreamHash, goldenGrayfailStreamCount)
+	}
+
+	hedged := 0
+	for i := range entries {
+		e := &entries[i]
+		if e.Type != journal.TypeAnnotation || e.Kind != traffic.KindRequestTrace {
+			continue
+		}
+		tr, err := reqtrace.DecodeDetail(e.Detail)
+		if err != nil {
+			t.Fatalf("seq %d: undecodable trace: %v", e.Seq, err)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name != reqtrace.SpanHedge {
+				continue
+			}
+			hedged++
+			if tr.Outcome != reqtrace.OutcomeOK {
+				t.Errorf("seq %d: hedge span on a %s trace", e.Seq, tr.OutcomeS)
+			}
+			if sp.StartMs <= 0 || sp.DurMs < 0 || sp.StartMs+sp.DurMs > tr.LatencyMs*(1+1e-9) {
+				t.Errorf("seq %d: hedge span [%g, +%g] outside the trace's %g ms", e.Seq, sp.StartMs, sp.DurMs, tr.LatencyMs)
+			}
+		}
+	}
+	if hedged == 0 {
+		t.Errorf("none of %d kept traces carries a hedge span", traced.Reqtrace.Kept)
+	}
+	t.Logf("%d kept traces, %d with a hedge span", traced.Reqtrace.Kept, hedged)
 }
 
 // TestGrayfailMitigationReducesTail is the issue's headline acceptance

@@ -3,7 +3,9 @@ package traffic
 import (
 	"time"
 
+	"toto/internal/controlplane"
 	"toto/internal/fabric"
+	"toto/internal/slo"
 )
 
 // This file is the gray-failure resilience layer of the traffic plane:
@@ -58,19 +60,13 @@ func (e *Engine) SetSlowFactor(fn func(node string, now time.Time) float64) {
 	e.slowFn = fn
 }
 
-// isPremium resolves a service's traffic class from its labels.
+// premiumEdition is the edition label value of the premium class.
+var premiumEdition = slo.PremiumBC.String()
+
+// isPremium resolves a service's traffic class from its control-plane
+// edition label.
 func (e *Engine) isPremium(s *fabric.Service) bool {
-	c := e.spec.Classes
-	if c == nil || s.Labels == nil {
-		return false
-	}
-	v := s.Labels[c.Label]
-	for _, p := range c.PremiumEditions {
-		if v == p {
-			return true
-		}
-	}
-	return false
+	return e.spec.Classes != nil && s.Labels[controlplane.LabelEdition] == premiumEdition
 }
 
 // leastLoadedReplica picks the healthiest dispatch target for a service:
@@ -114,7 +110,7 @@ func (e *Engine) nodeLoadMs(n *fabric.Node) (float64, float64) {
 		util = 0.95
 	}
 	coloc := 1 + colocLatencyFactor*float64(n.ReplicaCount()-1)
-	return e.spec.BaseLatencyMs / (1 - util) * coloc, util
+	return baseLatencyMs / (1 - util) * coloc, util
 }
 
 // nodeServiceMs models the node-attributable service time of one
@@ -133,7 +129,7 @@ func (e *Engine) nodeServiceMs(n *fabric.Node, now time.Time) (float64, float64)
 // service time to the fabric's gray-failure detector: the observed
 // service time divided by what the node's utilization and co-location
 // alone predict, rescaled to base-latency units. A healthy node reports
-// ~BaseLatencyMs no matter how loaded it is, so the detector's
+// ~baseLatencyMs no matter how loaded it is, so the detector's
 // EWMA-over-cluster-median ratio isolates exactly the slowness that
 // load cannot explain — the defining signal of a gray failure — instead
 // of false-firing on natural utilization imbalance. Each service
@@ -146,7 +142,7 @@ func (e *Engine) feedSlowNodeDetector(s *fabric.Service, now time.Time) {
 		if n := r.Node; n != nil && n.Up() {
 			observed, _ := e.nodeServiceMs(n, now)
 			expected, _ := e.nodeLoadMs(n)
-			e.cluster.ObserveNodeLatency(n.ID, observed/expected*e.spec.BaseLatencyMs)
+			e.cluster.ObserveNodeLatency(n.ID, observed/expected*baseLatencyMs)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"toto/internal/rng"
 )
 
-// TestHedgeSpecValidate pins the hedge/class knob validation: each bad
-// spec is rejected with an error naming the offending field.
+// TestHedgeSpecValidate pins the spec validation: each bad spec is
+// rejected with an error naming the offending field.
 func TestHedgeSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -17,9 +17,8 @@ func TestHedgeSpecValidate(t *testing.T) {
 	}{
 		{"budget over cap", Spec{Hedge: &HedgeSpec{BudgetRatio: 0.06}}, "budgetRatio"},
 		{"negative budget", Spec{Hedge: &HedgeSpec{BudgetRatio: -0.01}}, "budgetRatio"},
-		{"delay below 1", Spec{Hedge: &HedgeSpec{DelayMultiple: 0.5}}, "delayMultiple"},
-		{"premium delay below 1", Spec{Hedge: &HedgeSpec{PremiumDelayMultiple: 0.9}}, "premiumDelayMultiple"},
-		{"premium weight below 1", Spec{Classes: &ClassesSpec{PremiumWeight: 0.5}}, "premiumWeight"},
+		{"negative rate", Spec{PerCoreRPS: -1}, "perCoreRPS"},
+		{"negative slo", Spec{SLOP99Ms: -1}, "sloP99Ms"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -32,9 +31,9 @@ func TestHedgeSpecValidate(t *testing.T) {
 		}
 	}
 	ok := Spec{
-		Classes: &ClassesSpec{PremiumWeight: 3},
+		Classes: &ClassesSpec{},
 		Routing: &RoutingSpec{},
-		Hedge:   &HedgeSpec{DelayMultiple: 4, PremiumDelayMultiple: 2, BudgetRatio: 0.05},
+		Hedge:   &HedgeSpec{BudgetRatio: 0.05},
 	}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid grayfail spec rejected: %v", err)
@@ -42,21 +41,15 @@ func TestHedgeSpecValidate(t *testing.T) {
 }
 
 // TestHedgeSpecDefaults checks default resolution and that resolving
-// never mutates the caller's sub-specs (they are shared pointers).
+// never mutates the caller's hedge sub-spec (a shared pointer).
 func TestHedgeSpecDefaults(t *testing.T) {
 	in := Spec{Classes: &ClassesSpec{}, Hedge: &HedgeSpec{}}
 	out := in.withDefaults()
-	if out.Classes.Label != "edition" || out.Classes.PremiumWeight != 2 {
-		t.Errorf("classes defaults = %+v", out.Classes)
+	if out.PerCoreRPS != 1 || out.SLOP99Ms != 250 || out.Hedge.BudgetRatio != 0.02 {
+		t.Errorf("defaults = %+v, hedge %+v", out, out.Hedge)
 	}
-	if len(out.Classes.PremiumEditions) != 1 || out.Classes.PremiumEditions[0] != "Premium/BC" {
-		t.Errorf("premium editions default = %v", out.Classes.PremiumEditions)
-	}
-	if out.Hedge.DelayMultiple != 2 || out.Hedge.PremiumDelayMultiple != 1.5 || out.Hedge.BudgetRatio != 0.02 {
-		t.Errorf("hedge defaults = %+v", out.Hedge)
-	}
-	if in.Classes.Label != "" || in.Hedge.BudgetRatio != 0 {
-		t.Error("withDefaults mutated the caller's sub-specs")
+	if in.Hedge.BudgetRatio != 0 {
+		t.Error("withDefaults mutated the caller's hedge sub-spec")
 	}
 }
 

@@ -3,12 +3,12 @@
 // reports the rest of the simulator reacts to. Per-service arrivals
 // follow the same diurnal shape the churn traces are trained on and flow
 // through a front-end pipeline — token-bucket admission control with
-// bounded queues and drop-on-overflow load shedding, per-service circuit
-// breakers, retry with an exponential-backoff-plus-jitter per-service
-// retry budget, and request batching. Per-request latency derives from
-// the primary node's utilization and replica co-location; node crashes,
-// quorum-loss windows, and mid-build failovers surface as real request
-// errors journaled inside the fabric's causal brackets.
+// drop-on-overflow load shedding, per-service circuit breakers, retry
+// with an exponential-backoff-plus-jitter per-service retry budget, and
+// request batching. Per-request latency derives from the primary node's
+// utilization and replica co-location; node crashes, quorum-loss
+// windows, and mid-build failovers surface as real request errors
+// journaled inside the fabric's causal brackets.
 //
 // Determinism mirrors internal/chaos: every random choice draws from
 // streams split off one seed by fixed labels, and the engine only ever
@@ -25,61 +25,81 @@ import (
 	"toto/internal/obs/reqtrace"
 )
 
-// BreakerSpec configures the per-service circuit breakers.
-type BreakerSpec struct {
-	// FailureThreshold is the failure fraction that trips a closed
-	// breaker once a window of MinRequests has been observed.
-	// Default 0.5.
-	FailureThreshold float64 `json:"failureThreshold,omitempty"`
-	// MinRequests is the closed-state observation window: the breaker
-	// never trips on fewer outcomes. Default 20.
-	MinRequests int `json:"minRequests,omitempty"`
-	// OpenSeconds is how long an open breaker rejects everything before
-	// letting probes through. Default 120.
-	OpenSeconds float64 `json:"openSeconds,omitempty"`
-	// HalfOpenProbes is exactly how many probe requests a half-open
-	// breaker admits before deciding. Default 5.
-	HalfOpenProbes int `json:"halfOpenProbes,omitempty"`
-}
+// The plane's fixed model parameters. Only the knobs a scenario varies
+// are in the Spec; everything below is the calibrated front end every
+// workload runs.
+const (
+	// weekendFactor scales weekend demand (mirrors the trace models).
+	weekendFactor = 0.7
+	// tickSeconds is the simulation step for arrivals and admission.
+	tickSeconds = 60.0
+	// admitFactor provisions the front-end token bucket relative to peak
+	// demand: refill rate = admitFactor * PerCoreRPS * reserved cores *
+	// (up nodes / total nodes). With every node up the front end clears
+	// peak load; losing a fault domain drops admission capacity below
+	// peak and the overflow is shed — graceful degradation instead of
+	// collapse.
+	admitFactor = 1.05
+	// burstTicks sizes the token bucket in ticks of refill.
+	burstTicks = 2.0
+	// batchSize is the dispatch batch: per-request overhead is amortized
+	// across the batch.
+	batchSize = 8
+	// baseLatencyMs is the service-time floor of one request on an idle
+	// node; overheadMs the per-request dispatch overhead a full batch
+	// amortizes.
+	baseLatencyMs = 4.0
+	overheadMs    = 2.0
+	// degradedErrorRate is the failure fraction while a service's
+	// primary has a data copy in flight (mid-build failover window),
+	// below the breaker threshold so ordinary rebuilds degrade without
+	// tripping breakers. A healthy service never fails a request: every
+	// request error traces to a fault.
+	degradedErrorRate = 0.1
 
-// RetrySpec configures retries and the per-service retry budget.
-type RetrySpec struct {
-	// MaxAttempts bounds attempts per request (first try included).
-	// Default 3.
-	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// BudgetRatio is the retry budget refill rate as a fraction of fresh
-	// arrivals: a service receiving N requests earns N*BudgetRatio retry
-	// tokens, so retries can never amplify a failover storm beyond that
-	// ratio. Default 0.2.
-	BudgetRatio float64 `json:"budgetRatio,omitempty"`
-	// BackoffBaseMs and BackoffMaxMs bound the exponential backoff a
-	// retried request waits. Defaults 50 and 1000.
-	BackoffBaseMs float64 `json:"backoffBaseMs,omitempty"`
-	BackoffMaxMs  float64 `json:"backoffMaxMs,omitempty"`
-	// Jitter is the relative spread applied to backoff (0..1). Default 0.5.
-	Jitter float64 `json:"jitter,omitempty"`
+	// retryMaxAttempts bounds attempts per request (first try included).
+	retryMaxAttempts = 3
+	// retryBudgetRatio is the retry budget refill rate as a fraction of
+	// fresh arrivals: a service receiving N requests earns
+	// N*retryBudgetRatio retry tokens, so retries can never amplify a
+	// failover storm beyond that ratio.
+	retryBudgetRatio = 0.2
+	// backoffMeanMs is the mean of the exponential backoff ladder
+	// min(50 * 2^k, 1000) ms over the retryMaxAttempts-1 retries; a
+	// successful retry waits it, jittered by ±retryJitter/2.
+	backoffMeanMs = (50.0 + 100.0) / 2
+	retryJitter   = 0.5
+
+	// hedgeDelayMultiple is the standard-class hedge delay, as a multiple
+	// of what the request would currently cost on the best *other*
+	// replica: a request hedges only once serving it has outlived that
+	// many alternate-route estimates. Anchoring the delay to the
+	// alternate route self-calibrates it to cluster load — under uniform
+	// load the serving and alternate routes cost about the same, so
+	// nothing hedges; a fail-slow serving node crosses the multiple as
+	// soon as its slowdown exceeds it. Premium requests hedge earlier.
+	hedgeDelayMultiple        = 2.0
+	premiumHedgeDelayMultiple = 1.5
+)
+
+// breakerConfig is the per-service circuit breaker every engine builds.
+var breakerConfig = BreakerSpec{
+	FailureThreshold: 0.5,
+	MinRequests:      20,
+	OpenSeconds:      120,
+	HalfOpenProbes:   5,
 }
 
 // ClassesSpec partitions services into premium and standard traffic
-// classes by service label. Premium services are admitted first each
-// tick, so under overload the shared admission bucket drains in class
-// order and standard traffic sheds before premium — the shed order is
-// the admission order. Nil disables classes: every service is standard
-// and admission runs in plain name order.
-type ClassesSpec struct {
-	// Label is the service label inspected to classify a service.
-	// Default "edition" (the control plane's edition label).
-	Label string `json:"label,omitempty"`
-	// PremiumEditions lists the label values mapped to the premium
-	// class; services without the label, or with any other value, are
-	// standard. Default ["Premium/BC"].
-	PremiumEditions []string `json:"premiumEditions,omitempty"`
-	// PremiumWeight is the premium class's admission weight: it
-	// multiplies the bounded-queue entitlement of premium services, so
-	// premium overflow waits where standard overflow sheds. Must be at
-	// least 1. Default 2.
-	PremiumWeight float64 `json:"premiumWeight,omitempty"`
-}
+// classes by their control-plane edition label: Premium/BC services are
+// premium, every other service is standard. Premium services are
+// admitted first each tick, so under overload the shared admission
+// bucket drains in class order and standard traffic sheds before
+// premium — the shed order is the admission order — and premium
+// requests hedge earlier. Nil disables classes: every service is
+// standard and admission runs in plain name order. Presence enables it;
+// no knobs.
+type ClassesSpec struct{}
 
 // RoutingSpec enables load-aware replica routing: each tick a service
 // dispatches against its least-loaded healthy replica (up, not
@@ -88,83 +108,32 @@ type ClassesSpec struct {
 // not latency-aware, so a fail-slow node keeps attracting traffic until
 // the gray-failure detector quarantines it; hedging covers that gap.
 // Nil disables routing (primary-only dispatch). Presence enables it; no
-// knobs yet.
+// knobs.
 type RoutingSpec struct{}
 
 // HedgeSpec configures deterministic hedged requests: when a tick's
-// modeled latency exceeds the hedge delay, requests launch a speculative
-// second attempt on the least-loaded other replica and take whichever
-// finishes first. The hedge budget refills only from fresh arrivals, so
-// hedges can never add more than BudgetRatio of offered load — bounded
-// by construction, and accounted separately from the retry budget.
-// Nil disables hedging.
+// modeled latency exceeds the hedge delay (hedgeDelayMultiple), requests
+// launch a speculative second attempt on the least-loaded other replica
+// and take whichever finishes first. The hedge budget refills only from
+// fresh arrivals, so hedges can never add more than BudgetRatio of
+// offered load — bounded by construction, and accounted separately from
+// the retry budget. Nil disables hedging.
 type HedgeSpec struct {
-	// DelayMultiple is the standard-class hedge delay, as a multiple of
-	// what the request would currently cost on the best *other* replica:
-	// a request hedges only once serving it has outlived DelayMultiple
-	// alternate-route estimates. Anchoring the delay to the alternate
-	// route self-calibrates it to cluster load — under uniform load the
-	// serving and alternate routes cost about the same, so nothing
-	// hedges; a fail-slow serving node crosses the multiple as soon as
-	// its slowdown exceeds it. Must be at least 1. Default 2.
-	DelayMultiple float64 `json:"delayMultiple,omitempty"`
-	// PremiumDelayMultiple is the premium-class hedge delay multiple —
-	// premium requests hedge earlier. Must be at least 1. Default 1.5.
-	PremiumDelayMultiple float64 `json:"premiumDelayMultiple,omitempty"`
 	// BudgetRatio is the hedge-token refill per fresh arrival, capped at
 	// 0.05: hedging may never add more than 5% extra load. Default 0.02.
 	BudgetRatio float64 `json:"budgetRatio,omitempty"`
 }
 
 // Spec is the JSON-configurable traffic plane. All knobs are optional;
-// zero values take the documented defaults (a zero-valued field cannot
-// express "off" — use a tiny value instead).
+// zero values take the documented defaults.
 type Spec struct {
 	// Seed drives every random choice the plane makes (arrival draws,
-	// error draws, backoff jitter). Two runs of the same spec, seed, and
-	// workload serve identical request streams.
+	// latency jitter). Two runs of the same spec, seed, and workload
+	// serve identical request streams.
 	Seed uint64 `json:"seed"`
 	// PerCoreRPS is the peak request rate per reserved service core, so
 	// demand tracks the population the cluster actually hosts. Default 1.
 	PerCoreRPS float64 `json:"perCoreRPS,omitempty"`
-	// WeekendFactor scales weekend demand (mirrors the trace models).
-	// Default 0.7.
-	WeekendFactor float64 `json:"weekendFactor,omitempty"`
-	// TickSeconds is the simulation step for arrivals and admission.
-	// Default 60.
-	TickSeconds float64 `json:"tickSeconds,omitempty"`
-	// AdmitFactor provisions the front-end token bucket relative to peak
-	// demand: refill rate = AdmitFactor * PerCoreRPS * reserved cores *
-	// (up nodes / total nodes). With every node up the front end clears
-	// peak load; losing a fault domain drops admission capacity below
-	// peak and the overflow is shed — graceful degradation instead of
-	// collapse. Default 1.05.
-	AdmitFactor float64 `json:"admitFactor,omitempty"`
-	// BurstTicks sizes the token bucket in ticks of refill. Default 2.
-	BurstTicks float64 `json:"burstTicks,omitempty"`
-	// QueueDepth bounds the per-service wait queue; requests beyond it
-	// are shed. Default 0 (no queue: overflow sheds immediately).
-	QueueDepth int `json:"queueDepth,omitempty"`
-	// BatchSize is the dispatch batch: per-request overhead is amortized
-	// across the batch. Default 8.
-	BatchSize int `json:"batchSize,omitempty"`
-	// BaseLatencyMs is the service-time floor of one request on an idle
-	// node; OverheadMs the per-request dispatch overhead a full batch
-	// amortizes. Defaults 4 and 2.
-	BaseLatencyMs float64 `json:"baseLatencyMs,omitempty"`
-	OverheadMs    float64 `json:"overheadMs,omitempty"`
-	// BaseErrorRate is the steady-state failure probability of a healthy
-	// service. Default 0 — every request error then traces to a fault.
-	BaseErrorRate float64 `json:"baseErrorRate,omitempty"`
-	// DegradedErrorRate is the failure fraction while a service's primary
-	// has a data copy in flight (mid-build failover window). Kept below
-	// the breaker threshold by default so ordinary rebuilds degrade
-	// without tripping breakers. Default 0.1.
-	DegradedErrorRate float64 `json:"degradedErrorRate,omitempty"`
-	// Breaker and Retry configure the per-service circuit breakers and
-	// the retry budget.
-	Breaker BreakerSpec `json:"breaker,omitempty"`
-	Retry   RetrySpec   `json:"retry,omitempty"`
 	// Classes, Routing, and Hedge are the gray-failure resilience knobs:
 	// per-service traffic classes, load-aware replica routing, and
 	// deterministic hedged requests. All three default to nil — off, with
@@ -202,109 +171,34 @@ func (s *Spec) Validate() error {
 	if s == nil {
 		return nil
 	}
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("traffic: %s", fmt.Sprintf(format, args...))
+	if s.PerCoreRPS < 0 {
+		return fmt.Errorf("traffic: negative perCoreRPS %v", s.PerCoreRPS)
 	}
-	if s.PerCoreRPS < 0 || s.WeekendFactor < 0 || s.TickSeconds < 0 ||
-		s.AdmitFactor < 0 || s.BurstTicks < 0 || s.QueueDepth < 0 ||
-		s.BatchSize < 0 || s.BaseLatencyMs < 0 || s.OverheadMs < 0 || s.SLOP99Ms < 0 {
-		return fail("negative knob")
+	if s.SLOP99Ms < 0 {
+		return fmt.Errorf("traffic: negative sloP99Ms %v", s.SLOP99Ms)
 	}
-	if s.BaseErrorRate < 0 || s.BaseErrorRate >= 1 {
-		return fail("baseErrorRate %v outside [0, 1)", s.BaseErrorRate)
+	if h := s.Hedge; h != nil && (h.BudgetRatio < 0 || h.BudgetRatio > maxHedgeBudgetRatio) {
+		return fmt.Errorf("traffic: hedge budgetRatio %v outside [0, %v]", h.BudgetRatio, maxHedgeBudgetRatio)
 	}
-	if s.DegradedErrorRate < 0 || s.DegradedErrorRate > 1 {
-		return fail("degradedErrorRate %v outside [0, 1]", s.DegradedErrorRate)
-	}
-	b := s.Breaker
-	if b.FailureThreshold < 0 || b.FailureThreshold > 1 {
-		return fail("breaker failureThreshold %v outside [0, 1]", b.FailureThreshold)
-	}
-	if b.MinRequests < 0 || b.HalfOpenProbes < 0 || b.OpenSeconds < 0 {
-		return fail("negative breaker knob")
-	}
-	r := s.Retry
-	if r.MaxAttempts < 0 {
-		return fail("negative retry maxAttempts")
-	}
-	if r.BudgetRatio < 0 || r.BackoffBaseMs < 0 || r.BackoffMaxMs < 0 {
-		return fail("negative retry knob")
-	}
-	if r.Jitter < 0 || r.Jitter > 1 {
-		return fail("retry jitter %v outside [0, 1]", r.Jitter)
-	}
-	if c := s.Classes; c != nil {
-		if c.PremiumWeight != 0 && c.PremiumWeight < 1 {
-			return fail("classes premiumWeight %v below 1", c.PremiumWeight)
-		}
-	}
-	if h := s.Hedge; h != nil {
-		if h.BudgetRatio < 0 || h.BudgetRatio > maxHedgeBudgetRatio {
-			return fail("hedge budgetRatio %v outside [0, %v]", h.BudgetRatio, maxHedgeBudgetRatio)
-		}
-		if h.DelayMultiple != 0 && h.DelayMultiple < 1 {
-			return fail("hedge delayMultiple %v below 1", h.DelayMultiple)
-		}
-		if h.PremiumDelayMultiple != 0 && h.PremiumDelayMultiple < 1 {
-			return fail("hedge premiumDelayMultiple %v below 1", h.PremiumDelayMultiple)
-		}
-	}
-	if err := s.Reqtrace.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return s.Reqtrace.Validate()
 }
 
 // withDefaults returns a copy with every zero knob resolved.
 func (s *Spec) withDefaults() Spec {
 	out := *s
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
+	if out.PerCoreRPS == 0 {
+		out.PerCoreRPS = 1
 	}
-	defi := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
-		}
+	if out.SLOP99Ms == 0 {
+		out.SLOP99Ms = 250
 	}
-	def(&out.PerCoreRPS, 1)
-	def(&out.WeekendFactor, 0.7)
-	def(&out.TickSeconds, 60)
-	def(&out.AdmitFactor, 1.05)
-	def(&out.BurstTicks, 2)
-	defi(&out.BatchSize, 8)
-	def(&out.BaseLatencyMs, 4)
-	def(&out.OverheadMs, 2)
-	def(&out.DegradedErrorRate, 0.1)
-	def(&out.Breaker.FailureThreshold, 0.5)
-	defi(&out.Breaker.MinRequests, 20)
-	def(&out.Breaker.OpenSeconds, 120)
-	defi(&out.Breaker.HalfOpenProbes, 5)
-	defi(&out.Retry.MaxAttempts, 3)
-	def(&out.Retry.BudgetRatio, 0.2)
-	def(&out.Retry.BackoffBaseMs, 50)
-	def(&out.Retry.BackoffMaxMs, 1000)
-	def(&out.Retry.Jitter, 0.5)
-	def(&out.SLOP99Ms, 250)
-	// The pointer sub-specs are copied before defaulting so resolving an
+	// The hedge sub-spec is copied before defaulting so resolving an
 	// engine's spec never mutates the caller's.
-	if out.Classes != nil {
-		c := *out.Classes
-		if c.Label == "" {
-			c.Label = "edition"
-		}
-		if len(c.PremiumEditions) == 0 {
-			c.PremiumEditions = []string{"Premium/BC"}
-		}
-		def(&c.PremiumWeight, 2)
-		out.Classes = &c
-	}
 	if out.Hedge != nil {
 		h := *out.Hedge
-		def(&h.DelayMultiple, 2)
-		def(&h.PremiumDelayMultiple, 1.5)
-		def(&h.BudgetRatio, 0.02)
+		if h.BudgetRatio == 0 {
+			h.BudgetRatio = 0.02
+		}
 		out.Hedge = &h
 	}
 	return out
