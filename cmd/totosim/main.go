@@ -228,7 +228,6 @@ func main() {
 		sc.DomainUpgrade.Start = time.Duration(*upgradeStart * float64(time.Hour))
 	}
 	sc.Obs = sess.Obs
-	var series *timeseries.Store
 	if jw != nil {
 		jw.Meta(sc.Name, sc.Start, map[string]string{
 			"tool":    "totosim",
@@ -237,15 +236,6 @@ func main() {
 			"days":    fmt.Sprintf("%g", sc.Duration.Hours()/24),
 		})
 		sc.Journal = jw
-		resolution := sc.NodeTelemetryInterval
-		if resolution <= 0 {
-			resolution = 10 * time.Minute
-		}
-		// Capacity covers the whole run at the sampling resolution (plus
-		// bootstrap), so nothing ages out of the rings mid-run.
-		capacity := int((sc.BootstrapDuration+sc.Duration)/resolution) + 2
-		series = timeseries.NewStore(resolution, capacity)
-		sc.SeriesStore = series
 	}
 	// A traced run builds its recorder up front so the debug endpoint's
 	// /traces handler can attach to the kept-trace ring before the run.
@@ -282,7 +272,8 @@ func main() {
 		if err := jw.Close(); err != nil {
 			fail(err)
 		}
-		if err := series.WriteFile(timeseries.PathFor(obsFlags.JournalOut)); err != nil {
+		// The orchestrator created the run's series store for the journal.
+		if err := sc.SeriesStore.WriteFile(timeseries.PathFor(obsFlags.JournalOut)); err != nil {
 			fail(err)
 		}
 		events, annotations := jw.Counts()

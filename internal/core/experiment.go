@@ -296,10 +296,6 @@ func Run(s *Scenario) (*Result, error) {
 	if o.Cluster.SlowNodeDetectionEnabled() {
 		st := o.Cluster.SlowNodeStats()
 		res.SlowNodes = &st
-		s.Obs.Gauge("fabric.slow_node_detections").Set(float64(st.Detections))
-		s.Obs.Gauge("fabric.slow_node_quarantines").Set(float64(st.Quarantines))
-		s.Obs.Gauge("fabric.slow_node_drain_moves").Set(float64(st.DrainMoves))
-		s.Obs.Gauge("fabric.slow_node_recoveries").Set(float64(st.Recoveries))
 	}
 	if trafficEng != nil {
 		st := trafficEng.Stats()

@@ -233,11 +233,14 @@ func (o *Orchestrator) WriteModels(set *models.ModelSet) error {
 // (the experiment protocol bootstraps first).
 func (o *Orchestrator) Start() {
 	o.Cluster.Start()
-	// The watch layer rides on the series store: if alert rules (or a
-	// pre-built engine, or a traffic plane pushing tail-latency series)
-	// are configured without one, create a default store so the collector
-	// has somewhere to sample.
-	if o.Scenario.SeriesStore == nil && (o.Scenario.Alerts.Active() || o.Scenario.AlertEngine != nil || o.Scenario.Traffic != nil) {
+	// The watch layer and the journal's series sidecar ride on the series
+	// store: if alert rules (or a pre-built engine, a traffic plane
+	// pushing tail-latency series, or a journal) are configured without
+	// one, create a default store so the collector has somewhere to
+	// sample. Its capacity covers the whole run at the sampling
+	// resolution, so nothing ages out of the rings mid-run.
+	if o.Scenario.SeriesStore == nil && (o.Scenario.Alerts.Active() || o.Scenario.AlertEngine != nil ||
+		o.Scenario.Traffic != nil || o.Scenario.Journal != nil) {
 		res := o.Scenario.NodeTelemetryInterval
 		if res <= 0 {
 			res = 10 * time.Minute

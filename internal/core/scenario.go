@@ -25,9 +25,8 @@ import (
 
 // Fixed sampling and reporting periods of every run (§5.2): cluster-level
 // telemetry samples are hourly, as in the paper's figures, and memory is
-// reported every 20 minutes. The PLB's violation-scan period is the
-// fabric default (fabric.DefaultConfig().ScanInterval), which
-// FabricOverrides can change.
+// reported every 20 minutes. The PLB scans for violations on the fabric's
+// fixed 5-minute period.
 const (
 	telemetryInterval    = time.Hour
 	memoryReportInterval = 20 * time.Minute
@@ -161,7 +160,9 @@ type Scenario struct {
 	Journal *journal.Writer
 	// SeriesStore, when set, is sampled on the simulation clock by a
 	// timeseries collector (per-node utilization and replica counts,
-	// cluster-wide rates) for the journal's .series.json sidecar.
+	// cluster-wide rates) for the journal's .series.json sidecar. The
+	// orchestrator creates a default store covering the whole run when a
+	// Journal, alert rules or a traffic plane need one and none is set.
 	SeriesStore *timeseries.Store
 	// Alerts, when it carries rules, attaches the watch layer: an alert
 	// engine evaluating the rules against the series store on the sim

@@ -64,8 +64,6 @@ type ScenarioFile struct {
 	// Omitted fields take the fabric defaults (see
 	// fabric.DefaultSlowNodeConfig).
 	SlowNode *struct {
-		EWMAAlpha         float64 `json:"ewmaAlpha"`
-		Threshold         float64 `json:"threshold"`
 		MinSamples        int     `json:"minSamples"`
 		SustainMinutes    float64 `json:"sustainMinutes"`
 		ProbationHours    float64 `json:"probationHours"`
@@ -107,9 +105,8 @@ func ParseScenarioFile(data []byte) (*ScenarioFile, error) {
 		return nil, fmt.Errorf("core: scenario file has negative upgrade parameters")
 	}
 	if sn := sf.SlowNode; sn != nil {
-		if sn.EWMAAlpha < 0 || sn.EWMAAlpha > 1 || sn.Threshold < 0 || sn.MinSamples < 0 ||
-			sn.SustainMinutes < 0 || sn.ProbationHours < 0 || sn.DrainAfterMinutes < 0 ||
-			sn.MaxDrainMoves < 0 || sn.DrainHeadroom < 0 || sn.DrainHeadroom >= 1 {
+		if sn.MinSamples < 0 || sn.SustainMinutes < 0 || sn.ProbationHours < 0 ||
+			sn.DrainAfterMinutes < 0 || sn.MaxDrainMoves < 0 || sn.DrainHeadroom < 0 || sn.DrainHeadroom >= 1 {
 			return nil, fmt.Errorf("core: scenario file has invalid slowNode parameters")
 		}
 	}
@@ -189,8 +186,6 @@ func (sf *ScenarioFile) Build(set *models.ModelSet) *Scenario {
 	}
 	if sn := sf.SlowNode; sn != nil {
 		sc.SlowNodeDetection = &fabric.SlowNodeConfig{
-			EWMAAlpha:     sn.EWMAAlpha,
-			Threshold:     sn.Threshold,
 			MinSamples:    sn.MinSamples,
 			Sustain:       time.Duration(sn.SustainMinutes * float64(time.Minute)),
 			Probation:     time.Duration(sn.ProbationHours * float64(time.Hour)),

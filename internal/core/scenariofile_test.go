@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -72,15 +74,64 @@ func TestParseScenarioFileRejectsTypos(t *testing.T) {
 	if _, err := ParseScenarioFile([]byte(`{"days": -1}`)); err == nil {
 		t.Error("negative days accepted")
 	}
-	// Knobs the traffic and chaos specs no longer carry fail by name.
+	// Knobs the traffic, chaos and slow-node specs no longer carry fail
+	// by name.
 	for key, doc := range map[string]string{
 		"queueDepth":             `{"traffic": {"seed": 1, "queueDepth": 4}}`,
 		"disableInvariantChecks": `{"chaos": {"seed": 1, "disableInvariantChecks": true, "faults": []}}`,
+		"ewmaAlpha":              `{"slowNode": {"ewmaAlpha": 0.2}}`,
+		"threshold":              `{"slowNode": {"threshold": 1.75}}`,
 	} {
 		if _, err := ParseScenarioFile([]byte(doc)); err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("removed key %s: error %v", key, err)
 		}
 	}
+}
+
+// FuzzParseScenarioFile feeds arbitrary documents through the scenario
+// file's whole intake: decode, Build, and Scenario.Validate. Each input
+// must end in an error or a valid scenario, never a panic. The corpus is
+// seeded from scenarios/*.json.
+func FuzzParseScenarioFile(f *testing.F) {
+	files, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(files) == 0 {
+		f.Fatal("no scenario files to seed the corpus")
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"days": -1}`))
+	f.Add([]byte(`{"slowNode": {"minSamples": 4, "drainHeadroom": 1}}`))
+	f.Add([]byte(`{"topology": {"faultDomains": 4, "upgradeDomains": 3}, "upgrade": {"startHours": 2}}`))
+
+	set := DefaultModels().Set
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := ParseScenarioFile(data)
+		if err != nil {
+			if sf != nil {
+				t.Fatalf("ParseScenarioFile returned a file with error %v", err)
+			}
+			return
+		}
+		sc := sf.Build(set)
+		if sc == nil {
+			t.Fatal("Build returned nil for an accepted file")
+		}
+		if err := sc.Validate(); err != nil {
+			return
+		}
+		if sc.Nodes < 1 || sc.Density <= 0 || sc.Duration <= 0 || sc.Models != set {
+			t.Fatalf("valid scenario with nodes=%d density=%v duration=%v", sc.Nodes, sc.Density, sc.Duration)
+		}
+	})
 }
 
 func TestScenarioFileRunsEndToEnd(t *testing.T) {

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"toto/internal/fabric"
 	"toto/internal/obs"
 	"toto/internal/obs/journal"
 	"toto/internal/traffic"
@@ -190,5 +192,48 @@ func TestTrafficLatencyExportCountsEveryRequest(t *testing.T) {
 		if want := st.Arrivals - st.Failed; want <= 0 || h.Count != want {
 			t.Errorf("%v window: exported %d latency observations, want Arrivals−Failed = %d", window, h.Count, want)
 		}
+	}
+}
+
+// TestPrometheusExportNamesUnique renders the registry of a short run
+// with traffic and slow-node detection armed in the Prometheus text
+// format and checks that no metric family is declared twice. A counter
+// `x` renders as `toto_x_total`, whose family is `toto_x`, so a gauge of
+// the same registry name would collide with it.
+func TestPrometheusExportNamesUnique(t *testing.T) {
+	sc := DefaultScenario("prom", 1.0, DefaultModels().Set, testSeeds())
+	sc.BootstrapDuration = 2 * time.Hour
+	sc.Duration = time.Hour
+	sc.Traffic = &traffic.Spec{Seed: 7}
+	sc.SlowNodeDetection = &fabric.SlowNodeConfig{}
+	sc.Obs = obs.New(obs.Options{})
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SlowNodes == nil {
+		t.Fatal("slow-node detection not armed")
+	}
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf, sc.Obs.Registry().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]string)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+			continue
+		}
+		family, kind := f[2], f[3]
+		if kind == "counter" {
+			family = strings.TrimSuffix(family, "_total")
+		}
+		if prev, dup := seen[family]; dup {
+			t.Errorf("metric family %s exported as both %s and %s", family, prev, kind)
+		}
+		seen[family] = kind
+	}
+	if seen["toto_fabric_slow_node_detections"] != "counter" {
+		t.Errorf("slow-node detections exported as %q, want counter", seen["toto_fabric_slow_node_detections"])
 	}
 }

@@ -25,10 +25,60 @@ var ErrServiceExists = errors.New("fabric: service already exists")
 // ErrNoSuchService is returned for operations on unknown services.
 var ErrNoSuchService = errors.New("fabric: no such service")
 
+// Fixed production PLB, fault-hardening and topology settings. Toto's
+// experiments vary density, seeds and the injected models against one
+// PLB configuration (§5.2), so these are constants rather than Config
+// fields.
+const (
+	// scanInterval is how often the PLB scans for capacity violations.
+	scanInterval = 5 * time.Minute
+	// saIterations bounds the simulated-annealing search per placement.
+	saIterations = 400
+	// saInitialTemp is the starting annealing temperature.
+	saInitialTemp = 1.0
+	// saCooling is the per-iteration geometric cooling factor in (0,1).
+	saCooling = 0.98
+	// buildRateGBPerSec is the data-copy throughput when rebuilding a
+	// local-store replica on a new node (~0.9 TB/hour).
+	buildRateGBPerSec = 0.25
+	// primarySwapDowntime is the brief unavailability when a secondary
+	// is promoted during a multi-replica primary failover.
+	primarySwapDowntime = 15 * time.Second
+	// singleReplicaMoveDowntime is the unavailability when a single-
+	// replica (remote-store) database is detached and reattached on a
+	// new node.
+	singleReplicaMoveDowntime = 75 * time.Second
+	// crashDetectionDelay is the extra unavailability a primary suffers
+	// when its node crashes (failure detection + lease expiry) before the
+	// usual promotion or reattach downtime begins. Only crash evacuations
+	// charge it; planned drains move primaries gracefully.
+	crashDetectionDelay = 30 * time.Second
+	// retryMaxAttempts bounds the retry loop around replica builds and
+	// Naming Service writes when a fault injector is active.
+	retryMaxAttempts = 4
+	// retryBackoffBase is the first retry's nominal backoff delay; each
+	// further attempt doubles it up to retryBackoffMax. The realized
+	// delay is jittered in [0.5, 1.0) of nominal from a dedicated seeded
+	// stream, so retries never perturb placement randomness.
+	retryBackoffBase = 5 * time.Second
+	// retryBackoffMax caps the exponential backoff delay.
+	retryBackoffMax = 2 * time.Minute
+	// quarantineWindow is how long a crashed node stays excluded from
+	// placement and failover targets after restarting in degraded mode.
+	quarantineWindow = 30 * time.Minute
+	// loadStalenessTimeout is how old a node's last load report may be
+	// before the degraded-mode PLB stops firing failovers from its
+	// last-known-good loads.
+	loadStalenessTimeout = time.Hour
+	// domainSpreadWeight scales the fault-domain crowding term added to
+	// the PLB's node cost while a topology is configured: each node pays
+	// weight * (domain aggregate core utilization)^2, biasing placement
+	// toward emptier domains.
+	domainSpreadWeight = 0.25
+)
+
 // Config tunes the cluster and its PLB.
 type Config struct {
-	// ScanInterval is how often the PLB scans for capacity violations.
-	ScanInterval time.Duration
 	// Density scales the logical core capacity used for admission and
 	// placement. 1.0 is the conservative production default; 1.1 admits
 	// 10% more reserved cores than logical capacity (§5).
@@ -37,22 +87,6 @@ type Config struct {
 	// could not fix this seed across repeated experiments (§5.2); the
 	// experiment harness varies it deliberately.
 	PLBSeed uint64
-	// SAIterations bounds the simulated-annealing search per placement.
-	SAIterations int
-	// SAInitialTemp is the starting annealing temperature.
-	SAInitialTemp float64
-	// SACooling is the per-iteration geometric cooling factor in (0,1).
-	SACooling float64
-	// BuildRateGBPerSec is the data-copy throughput when rebuilding a
-	// local-store replica on a new node.
-	BuildRateGBPerSec float64
-	// PrimarySwapDowntime is the brief unavailability when a secondary is
-	// promoted during a multi-replica primary failover.
-	PrimarySwapDowntime time.Duration
-	// SingleReplicaMoveDowntime is the unavailability when a single-
-	// replica (remote-store) database is detached and reattached on a
-	// new node.
-	SingleReplicaMoveDowntime time.Duration
 	// MaxMovesPerViolation bounds how many replicas the PLB moves to fix
 	// one node's violation in one scan.
 	MaxMovesPerViolation int
@@ -65,37 +99,15 @@ type Config struct {
 	// GreedyPlacement disables simulated annealing and uses pure greedy
 	// least-loaded placement (for the ablation bench).
 	GreedyPlacement bool
-	// CrashDetectionDelay is the extra unavailability a primary suffers
-	// when its node crashes (failure detection + lease expiry) before the
-	// usual promotion or reattach downtime begins. Only crash evacuations
-	// charge it; planned drains move primaries gracefully.
-	CrashDetectionDelay time.Duration
-	// RetryMaxAttempts bounds the retry loop around replica builds and
-	// Naming Service writes when a fault injector is active.
-	RetryMaxAttempts int
-	// RetryBackoffBase is the first retry's nominal backoff delay; each
-	// further attempt doubles it up to RetryBackoffMax. The realized
-	// delay is jittered in [0.5, 1.0) of nominal from a dedicated seeded
-	// stream, so retries never perturb placement randomness.
-	RetryBackoffBase time.Duration
-	// RetryBackoffMax caps the exponential backoff delay.
-	RetryBackoffMax time.Duration
 	// DegradedMaxMovesPerScan caps the violation-fix moves a single PLB
 	// scan may make while degraded mode is on, throttling failover storms
 	// after correlated failures. 0 means no cap even when degraded.
 	DegradedMaxMovesPerScan int
-	// QuarantineWindow is how long a crashed node stays excluded from
-	// placement and failover targets after restarting in degraded mode.
-	QuarantineWindow time.Duration
-	// LoadStalenessTimeout is how old a node's last load report may be
-	// before the degraded-mode PLB stops firing failovers from its
-	// last-known-good loads. 0 disables the staleness check.
-	LoadStalenessTimeout time.Duration
 	// DegradationFactor converts time a primary replica spends on a node
 	// whose load exceeds logical capacity into customer-visible
 	// unavailability ("a database temporarily needing to wait for
 	// resources it has requested", §1): each violation scan adds
-	// ScanInterval*DegradationFactor of downtime to every database whose
+	// scanInterval*DegradationFactor of downtime to every database whose
 	// primary sits on the violating node. 0 disables the accounting.
 	DegradationFactor float64
 	// FaultDomains stripes the cluster's nodes across correlated-failure
@@ -109,11 +121,6 @@ type Config struct {
 	// same way. 0 gives every node its own upgrade domain (the upgrade
 	// walker then proceeds node at a time).
 	UpgradeDomains int
-	// DomainSpreadWeight scales the fault-domain crowding term added to
-	// the PLB's node cost while a topology is configured: each node pays
-	// weight * (domain aggregate core utilization)^2, biasing placement
-	// toward emptier domains. Ignored when FaultDomains is 0.
-	DomainSpreadWeight float64
 	// Obs is the observability layer the cluster instruments itself with.
 	// nil (the default) disables all tracing and metrics at zero cost.
 	Obs *obs.Obs
@@ -126,27 +133,13 @@ func (cfg *Config) topologyEnabled() bool { return cfg.FaultDomains > 0 }
 // DefaultConfig returns production-like PLB settings.
 func DefaultConfig() Config {
 	return Config{
-		ScanInterval:              5 * time.Minute,
-		Density:                   1.0,
-		PLBSeed:                   1,
-		SAIterations:              400,
-		SAInitialTemp:             1.0,
-		SACooling:                 0.98,
-		BuildRateGBPerSec:         0.25, // ~0.9 TB/hour replica build
-		PrimarySwapDowntime:       15 * time.Second,
-		SingleReplicaMoveDowntime: 75 * time.Second,
-		MaxMovesPerViolation:      4,
-		CrashDetectionDelay:       30 * time.Second,
-		RetryMaxAttempts:          4,
-		RetryBackoffBase:          5 * time.Second,
-		RetryBackoffMax:           2 * time.Minute,
-		DegradedMaxMovesPerScan:   8,
-		QuarantineWindow:          30 * time.Minute,
-		LoadStalenessTimeout:      time.Hour,
-		DegradationFactor:         0.20,
-		DomainSpreadWeight:        0.25,
-		BalancingEnabled:          false,
-		BalanceSpread:             0.35,
+		Density:                 1.0,
+		PLBSeed:                 1,
+		MaxMovesPerViolation:    4,
+		DegradedMaxMovesPerScan: 8,
+		DegradationFactor:       0.20,
+		BalancingEnabled:        false,
+		BalanceSpread:           0.35,
 	}
 }
 
@@ -183,13 +176,9 @@ type Cluster struct {
 
 	// fault-hardening state (see faults.go); all zero-valued and inert
 	// unless a fault injector is installed or degraded mode is enabled.
-	injector      FaultInjector
-	degraded      bool
-	retryRnd      *rng.Source
-	buildRetries  int
-	buildFailures int
-	buildAborts   int
-	reportsLost   int
+	injector FaultInjector
+	degraded bool
+	retryRnd *rng.Source
 
 	// quorum-availability state (see topology.go); only maintained while
 	// a topology is configured. The sweep is incremental: instead of
@@ -347,7 +336,7 @@ func (c *Cluster) Start() {
 	if c.scan != nil {
 		return
 	}
-	c.scan = c.clock.Every(c.cfg.ScanInterval, func(now time.Time) {
+	c.scan = c.clock.Every(scanInterval, func(now time.Time) {
 		c.plb.scan(now)
 	})
 }
@@ -366,20 +355,7 @@ func (c *Cluster) Clock() *simclock.Clock { return c.clock }
 // Naming returns the cluster's Naming Service.
 func (c *Cluster) Naming() *NamingService { return c.naming }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// SetDensity changes the density factor for subsequent admissions and
-// placements.
-func (c *Cluster) SetDensity(d float64) {
-	if d <= 0 {
-		panic("fabric: non-positive density")
-	}
-	c.cfg.Density = d
-	c.plb.cfg.Density = d
-}
-
-// Density returns the current density factor.
+// Density returns the density factor.
 func (c *Cluster) Density() float64 { return c.cfg.Density }
 
 // Nodes returns the cluster's nodes.
@@ -646,7 +622,6 @@ func (c *Cluster) ReportLoad(id ReplicaID, m MetricName, value float64) error {
 	// loads; degraded mode bounds how long it will keep doing so (see
 	// the staleness check in fixViolations).
 	if c.injector != nil && c.injector.ReportLost(id, m) {
-		c.reportsLost++
 		c.metrics.reportsLost.Inc()
 		return nil
 	}
@@ -781,7 +756,7 @@ func (c *Cluster) moveReplicaCause(r *Replica, target *Node, metric MetricName, 
 		if cause == moveCauseCrash {
 			// The node died under the primary: customers wait through
 			// failure detection before promotion or reattach even starts.
-			downtime += c.cfg.CrashDetectionDelay
+			downtime += crashDetectionDelay
 		}
 		if svc.ReplicaCount > 1 {
 			// Promote a placed secondary; the moved replica rejoins as a
@@ -794,11 +769,11 @@ func (c *Cluster) moveReplicaCause(r *Replica, target *Node, metric MetricName, 
 					break
 				}
 			}
-			downtime += c.cfg.PrimarySwapDowntime
+			downtime += primarySwapDowntime
 		} else {
 			// Single-replica remote-store database: detach/reattach the
 			// remote storage on the new node.
-			downtime += c.cfg.SingleReplicaMoveDowntime
+			downtime += singleReplicaMoveDowntime
 		}
 	}
 
@@ -806,8 +781,8 @@ func (c *Cluster) moveReplicaCause(r *Replica, target *Node, metric MetricName, 
 	// remote-store replicas only rebuild tempDB state, which is
 	// effectively instant at this granularity.
 	var build time.Duration
-	if svc.ReplicaCount > 1 && c.cfg.BuildRateGBPerSec > 0 {
-		build = time.Duration(movedDisk / c.cfg.BuildRateGBPerSec * float64(time.Second))
+	if svc.ReplicaCount > 1 {
+		build = time.Duration(movedDisk / buildRateGBPerSec * float64(time.Second))
 	}
 	// Under fault injection the copy may fail and retry with backoff,
 	// stretching the build; without an injector this returns build as-is.

@@ -282,8 +282,8 @@ func TestSingleReplicaMoveDowntime(t *testing.T) {
 		}
 	}
 	c.moveReplica(rep, target, MetricDiskGB, EventFailover)
-	if svc.Downtime != c.Config().SingleReplicaMoveDowntime {
-		t.Errorf("downtime = %v, want %v", svc.Downtime, c.Config().SingleReplicaMoveDowntime)
+	if svc.Downtime != singleReplicaMoveDowntime {
+		t.Errorf("downtime = %v, want %v", svc.Downtime, singleReplicaMoveDowntime)
 	}
 	if rep.Role != Primary {
 		t.Error("single replica must stay primary")
@@ -324,8 +324,7 @@ func TestClusterAccessors(t *testing.T) {
 	if c.FreeCores() != c.CoreCapacity()-10 {
 		t.Errorf("free cores = %v", c.FreeCores())
 	}
-	c.SetDensity(1.3)
-	if c.Density() != 1.3 {
-		t.Error("SetDensity")
+	if c.Density() != 1.1 {
+		t.Errorf("density = %v, want 1.1", c.Density())
 	}
 }

@@ -59,9 +59,8 @@ func (c *Cluster) SetFaultInjector(fi FaultInjector) {
 		c.retryRnd = rng.New(c.cfg.PLBSeed).Split("retry-jitter")
 	}
 	c.injector = fi
-	pol := c.retryPolicy()
-	c.naming.setInjector(fi, pol, func(attempt int) time.Duration {
-		d := pol.backoff(attempt, c.retryRnd)
+	c.naming.setInjector(fi, func(attempt int) time.Duration {
+		d := backoff(attempt, c.retryRnd)
 		c.metrics.backoffSeconds.Observe(d.Seconds())
 		return d
 	})
@@ -99,36 +98,18 @@ func (n *Node) Quarantined(now time.Time) bool { return n.quarantinedUntil.After
 // opposed to a maintenance drain).
 func (n *Node) Crashed() bool { return n.down && n.crashed }
 
-// retryPolicy bundles the cluster's bounded-retry settings.
-type retryPolicy struct {
-	maxAttempts int
-	base        time.Duration
-	max         time.Duration
-}
-
-func (c *Cluster) retryPolicy() retryPolicy {
-	return retryPolicy{
-		maxAttempts: c.cfg.RetryMaxAttempts,
-		base:        c.cfg.RetryBackoffBase,
-		max:         c.cfg.RetryBackoffMax,
-	}
-}
-
 // backoff returns the sim-time delay before retry attempt (1-based):
 // exponential in the attempt number, capped, with seeded jitter in
 // [0.5, 1.0) of the nominal delay — the classic "equal jitter" scheme
 // that decorrelates retry storms without ever halving below base/2.
-func (p retryPolicy) backoff(attempt int, rnd *rng.Source) time.Duration {
-	d := p.base
+func backoff(attempt int, rnd *rng.Source) time.Duration {
+	d := retryBackoffBase
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= p.max {
-			d = p.max
+		if d >= retryBackoffMax {
+			d = retryBackoffMax
 			break
 		}
-	}
-	if d > p.max {
-		d = p.max
 	}
 	if rnd != nil {
 		d = time.Duration(float64(d) * (0.5 + 0.5*rnd.Float64()))
@@ -149,25 +130,22 @@ func (c *Cluster) buildWithRetries(r *Replica, target *Node, build time.Duration
 	if f := c.injector.BuildSlowdownFactor(); f > 1 {
 		build = time.Duration(float64(build) * f)
 	}
-	pol := c.retryPolicy()
 	total := build
-	for attempt := 1; attempt <= pol.maxAttempts; attempt++ {
+	for attempt := 1; attempt <= retryMaxAttempts; attempt++ {
 		if !c.injector.BuildAttemptFails(r.ID, target.ID, attempt) {
 			return total
 		}
-		c.buildRetries++
 		c.metrics.buildRetries.Inc()
-		delay := pol.backoff(attempt, c.retryRnd)
+		delay := backoff(attempt, c.retryRnd)
 		c.metrics.backoffSeconds.Observe(delay.Seconds())
 		// The failed copy ran to some point before erroring; charge a full
 		// attempt (pessimistic, keeps the model simple) plus the backoff.
 		total += delay + build
 	}
-	c.buildFailures++
 	c.metrics.buildFailures.Inc()
 	if log := c.obs.Log(); log.Enabled(obs.LevelWarn) {
 		log.Warnf("fabric: build of %s on %s failed %d attempts; escalated to backup restore",
-			r.ID, target.ID, pol.maxAttempts)
+			r.ID, target.ID, retryMaxAttempts)
 	}
 	return total
 }
@@ -219,7 +197,7 @@ func (c *Cluster) CrashNode(id string) (evacuated, stranded int, err error) {
 // RestartNode returns a crashed (or drained) node to service. If the PLB
 // is in degraded mode the node re-enters under quarantine: it serves its
 // stranded replicas but is excluded from placement and failover targets
-// for QuarantineWindow, so a flapping node cannot re-absorb load it will
+// for quarantineWindow, so a flapping node cannot re-absorb load it will
 // drop again on the next flap.
 func (c *Cluster) RestartNode(id string) error {
 	n := c.nodeByID(id)
@@ -232,8 +210,8 @@ func (c *Cluster) RestartNode(id string) error {
 	now := c.clock.Now()
 	n.down = false
 	n.crashed = false
-	if c.degraded && c.cfg.QuarantineWindow > 0 {
-		n.quarantinedUntil = now.Add(c.cfg.QuarantineWindow)
+	if c.degraded {
+		n.quarantinedUntil = now.Add(quarantineWindow)
 		c.metrics.quarantines.Inc()
 	}
 	c.obs.Instant("fabric.node_restart", obs.Str("node", id),
@@ -270,7 +248,6 @@ func (c *Cluster) evacuateNode(n *Node, kind EventKind, crash bool) (evacuated, 
 			// finish. detach (inside moveReplica) rolls the node's load
 			// accounting back.
 			r.buildDoneAt = time.Time{}
-			c.buildAborts++
 			c.metrics.buildAborts.Inc()
 			c.obs.Instant("fabric.build_aborted",
 				obs.Str("replica", r.ID.String()), obs.Str("node", n.ID))
@@ -289,22 +266,6 @@ func (c *Cluster) evacuateNode(n *Node, kind EventKind, crash bool) (evacuated, 
 	}
 	return evacuated, stranded
 }
-
-// BuildRetryCount returns the cumulative number of failed build attempts
-// that were retried.
-func (c *Cluster) BuildRetryCount() int { return c.buildRetries }
-
-// BuildFailureCount returns the number of builds that exhausted their
-// retry budget.
-func (c *Cluster) BuildFailureCount() int { return c.buildFailures }
-
-// BuildAbortCount returns the number of in-flight builds aborted by node
-// crashes.
-func (c *Cluster) BuildAbortCount() int { return c.buildAborts }
-
-// ReportsLostCount returns the number of load reports dropped by the
-// fault injector.
-func (c *Cluster) ReportsLostCount() int { return c.reportsLost }
 
 // UnplannedFailoverCount returns the total unplanned movements (capacity
 // violations, resizes, crash evacuations, ForceMove) so far.

@@ -6,8 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"toto/internal/obs"
 	"toto/internal/simclock"
 )
+
+// newObservedTestCluster is newTestCluster at density 1.0 with an
+// observer attached, so fault tests can assert on the fabric's registry
+// counters.
+func newObservedTestCluster(t *testing.T, nodes int) (*Cluster, *obs.Registry) {
+	t.Helper()
+	o := obs.New(obs.Options{})
+	cfg := DefaultConfig()
+	cfg.Obs = o
+	return NewCluster(simclock.New(testStart), nodes, testCapacity(), cfg), o.Registry()
+}
 
 // stubInjector is a deterministic in-package FaultInjector for unit
 // tests (the real engine lives in internal/chaos, which imports fabric).
@@ -62,8 +74,7 @@ func TestCrashEvacuationAccountsUnplanned(t *testing.T) {
 
 	// The evacuation is an unplanned failover: SLA-priced downtime
 	// includes the crash-detection delay plus the promotion swap.
-	cfg := c.Config()
-	wantDowntime := cfg.CrashDetectionDelay + cfg.PrimarySwapDowntime
+	wantDowntime := crashDetectionDelay + primarySwapDowntime
 	if svc.Downtime != wantDowntime {
 		t.Errorf("Downtime = %v, want %v", svc.Downtime, wantDowntime)
 	}
@@ -100,7 +111,7 @@ func TestCrashEvacuationAccountsUnplanned(t *testing.T) {
 // accounting) and re-place the replica through the normal deterministic
 // path, never leaving a half-built replica attached to a dead node.
 func TestCrashDuringBuildAbortsAndReplaces(t *testing.T) {
-	c := newTestCluster(t, 6, 1.0)
+	c, reg := newObservedTestCluster(t, 6)
 	svc, err := c.CreateServiceWithLoads("bc", 3, 4, nil,
 		map[MetricName]float64{MetricDiskGB: 400})
 	if err != nil {
@@ -133,8 +144,8 @@ func TestCrashDuringBuildAbortsAndReplaces(t *testing.T) {
 	if _, _, err := c.CrashNode(target.ID); err != nil {
 		t.Fatal(err)
 	}
-	if c.BuildAbortCount() != 1 {
-		t.Errorf("build aborts = %d, want 1", c.BuildAbortCount())
+	if got := reg.Counter("fabric.build_aborts").Value(); got != 1 {
+		t.Errorf("build aborts = %d, want 1", got)
 	}
 	if r.Node == target {
 		t.Fatal("replica still attached to the crashed node")
@@ -157,7 +168,8 @@ func TestCrashDuringBuildAbortsAndReplaces(t *testing.T) {
 }
 
 func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
-	c := newTestCluster(t, 6, 1.0)
+	c, reg := newObservedTestCluster(t, 6)
+	retries, failures := reg.Counter("fabric.build_retries"), reg.Counter("fabric.build_failures")
 	a, err := c.CreateServiceWithLoads("bc-a", 3, 4, nil, map[MetricName]float64{MetricDiskGB: 250})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +184,7 @@ func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
 			builds = append(builds, ev.BuildDuration)
 		}
 	})
-	base := time.Duration(250 / c.Config().BuildRateGBPerSec * float64(time.Second))
+	base := time.Duration(250 / buildRateGBPerSec * float64(time.Second))
 
 	// Fail the first two attempts of every build: the move still lands,
 	// but the event's build duration carries two wasted copies plus
@@ -197,8 +209,8 @@ func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
 		t.Fatal("no movable secondary")
 	}
 	moveSecondary(a)
-	if c.BuildRetryCount() != 2 || c.BuildFailureCount() != 0 {
-		t.Fatalf("retries=%d failures=%d, want 2/0", c.BuildRetryCount(), c.BuildFailureCount())
+	if retries.Value() != 2 || failures.Value() != 0 {
+		t.Fatalf("retries=%d failures=%d, want 2/0", retries.Value(), failures.Value())
 	}
 	if len(builds) != 1 || builds[0] < 3*base {
 		t.Fatalf("build duration %v does not include 2 retried copies of %v", builds, base)
@@ -208,9 +220,8 @@ func TestBuildRetriesStretchBuildAndEscalate(t *testing.T) {
 	// attempt proceeds via the slow path; the replica still lands.
 	inj.buildFail = func(ReplicaID, string, int) bool { return true }
 	moveSecondary(b)
-	max := c.Config().RetryMaxAttempts
-	if c.BuildRetryCount() != 2+max || c.BuildFailureCount() != 1 {
-		t.Fatalf("retries=%d failures=%d, want %d/1", c.BuildRetryCount(), c.BuildFailureCount(), 2+max)
+	if retries.Value() != 2+retryMaxAttempts || failures.Value() != 1 {
+		t.Fatalf("retries=%d failures=%d, want %d/1", retries.Value(), failures.Value(), 2+retryMaxAttempts)
 	}
 	if err := CheckInvariants(c); err != nil {
 		t.Fatal(err)
@@ -248,14 +259,15 @@ func TestBuildSlowdownFactorScalesBuild(t *testing.T) {
 		}
 		break
 	}
-	base := time.Duration(100 / c.Config().BuildRateGBPerSec * float64(time.Second))
+	base := time.Duration(100 / buildRateGBPerSec * float64(time.Second))
 	if len(builds) != 1 || builds[0] != 3*base {
 		t.Fatalf("build = %v, want exactly 3×%v", builds, base)
 	}
 }
 
 func TestNamingWriteRetryAndDrop(t *testing.T) {
-	c := newTestCluster(t, 2, 1.0)
+	c, reg := newObservedTestCluster(t, 2)
+	retries, drops := reg.Counter("fabric.naming_write_retries"), reg.Counter("fabric.naming_write_drops")
 	inj := &stubInjector{namingFail: func(_ string, attempt int) bool { return attempt <= 2 }}
 	c.SetFaultInjector(inj)
 	ns := c.Naming()
@@ -263,16 +275,16 @@ func TestNamingWriteRetryAndDrop(t *testing.T) {
 	if v := ns.Put("k", []byte("v")); v != 1 {
 		t.Fatalf("Put with transient failures returned version %d, want 1", v)
 	}
-	if ns.WriteRetries() != 2 || ns.WriteDrops() != 0 {
-		t.Fatalf("retries=%d drops=%d, want 2/0", ns.WriteRetries(), ns.WriteDrops())
+	if retries.Value() != 2 || drops.Value() != 0 {
+		t.Fatalf("retries=%d drops=%d, want 2/0", retries.Value(), drops.Value())
 	}
 
 	inj.namingFail = func(string, int) bool { return true }
 	if v := ns.Put("k2", []byte("v")); v != 0 {
 		t.Fatalf("Put past the retry budget returned %d, want 0 (dropped)", v)
 	}
-	if ns.WriteDrops() != 1 {
-		t.Fatalf("drops = %d, want 1", ns.WriteDrops())
+	if drops.Value() != 1 {
+		t.Fatalf("drops = %d, want 1", drops.Value())
 	}
 	if _, _, ok := ns.Get("k2"); ok {
 		t.Error("dropped write is visible")
@@ -289,7 +301,7 @@ func TestNamingWriteRetryAndDrop(t *testing.T) {
 }
 
 func TestReportLostLeavesLastKnownGood(t *testing.T) {
-	c := newTestCluster(t, 2, 1.0)
+	c, reg := newObservedTestCluster(t, 2)
 	svc, err := c.CreateService("db", 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +317,8 @@ func TestReportLostLeavesLastKnownGood(t *testing.T) {
 	if r.Loads[MetricDiskGB] != 100 || r.Node.Load(MetricDiskGB) != 100 {
 		t.Errorf("lost report mutated loads: replica=%v node=%v", r.Loads[MetricDiskGB], r.Node.Load(MetricDiskGB))
 	}
-	if c.ReportsLostCount() != 1 {
-		t.Errorf("lost count = %d", c.ReportsLostCount())
+	if got := reg.Counter("fabric.reports_lost").Value(); got != 1 {
+		t.Errorf("lost count = %d", got)
 	}
 }
 
@@ -389,7 +401,7 @@ func TestDegradedModeSkipsStaleNodes(t *testing.T) {
 	c, clock := degradedTestCluster(t)
 	c.EnableDegradedMode()
 	// Let every load report age past the staleness timeout.
-	clock.RunUntil(testStart.Add(c.Config().LoadStalenessTimeout + time.Minute))
+	clock.RunUntil(testStart.Add(loadStalenessTimeout + time.Minute))
 
 	moves := 0
 	c.Subscribe(func(ev Event) {
@@ -449,7 +461,7 @@ func TestRestartUnderDegradedModeQuarantines(t *testing.T) {
 		t.Error("placement chose a quarantined node")
 	}
 	// The quarantine lapses after the configured window.
-	clock.RunUntil(now.Add(cfg.QuarantineWindow + time.Second))
+	clock.RunUntil(now.Add(quarantineWindow + time.Second))
 	if n.Quarantined(clock.Now()) {
 		t.Error("quarantine never lapsed")
 	}

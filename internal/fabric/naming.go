@@ -35,11 +35,8 @@ type NamingService struct {
 	// fail). backoffFn computes the jittered backoff delay charged for a
 	// failed attempt, letting the cluster account it without the store
 	// owning a clock or RNG.
-	injector     FaultInjector
-	retry        retryPolicy
-	backoffFn    func(attempt int) time.Duration
-	writeRetries int64
-	writeDrops   int64
+	injector  FaultInjector
+	backoffFn func(attempt int) time.Duration
 }
 
 type namingEntry struct {
@@ -63,10 +60,9 @@ func (n *NamingService) instrument(reads, writes, writeRetries, writeDrops *obs.
 }
 
 // setInjector installs the fault injector consulted on every write,
-// with the bounded-retry policy and backoff accounting hook.
-func (n *NamingService) setInjector(fi FaultInjector, pol retryPolicy, backoffFn func(attempt int) time.Duration) {
+// with the backoff accounting hook charged for each retried attempt.
+func (n *NamingService) setInjector(fi FaultInjector, backoffFn func(attempt int) time.Duration) {
 	n.injector = fi
-	n.retry = pol
 	n.backoffFn = backoffFn
 }
 
@@ -78,31 +74,19 @@ func (n *NamingService) setInjector(fi FaultInjector, pol retryPolicy, backoffFn
 // next refresh rather than by blocking the simulation.
 func (n *NamingService) Put(key string, value []byte) int64 {
 	if n.injector != nil {
-		attempts := n.retry.maxAttempts
-		if attempts < 1 {
-			attempts = 1
-		}
 		ok := false
-		for attempt := 1; attempt <= attempts; attempt++ {
+		for attempt := 1; attempt <= retryMaxAttempts; attempt++ {
 			if !n.injector.NamingWriteFails(key, attempt) {
 				ok = true
 				break
 			}
-			if attempt < attempts {
+			if attempt < retryMaxAttempts {
 				n.cWriteRetries.Inc()
-				n.mu.Lock()
-				n.writeRetries++
-				n.mu.Unlock()
-				if n.backoffFn != nil {
-					n.backoffFn(attempt)
-				}
+				n.backoffFn(attempt)
 			}
 		}
 		if !ok {
 			n.cWriteDrops.Inc()
-			n.mu.Lock()
-			n.writeDrops++
-			n.mu.Unlock()
 			return 0
 		}
 	}
@@ -112,22 +96,6 @@ func (n *NamingService) Put(key string, value []byte) int64 {
 	n.version++
 	n.entries[key] = namingEntry{value: append([]byte(nil), value...), version: n.version}
 	return n.version
-}
-
-// WriteRetries returns the cumulative number of write attempts that
-// failed and were retried.
-func (n *NamingService) WriteRetries() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.writeRetries
-}
-
-// WriteDrops returns the number of writes abandoned after exhausting the
-// retry budget.
-func (n *NamingService) WriteDrops() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.writeDrops
 }
 
 // CurrentVersion returns the store's global write version.

@@ -17,7 +17,7 @@ import (
 // violations by moving replicas off overloaded nodes (failovers).
 //
 // The PLB is the simulation's hottest path: every placement runs up to
-// SAIterations annealing steps and every scan walks all nodes × metrics.
+// saIterations annealing steps and every scan walks all nodes × metrics.
 // All load/capacity state is therefore array-backed (see LoadVector) and
 // the decision loops below reuse scratch buffers owned by this struct,
 // so steady-state placements and scans allocate nothing.
@@ -26,12 +26,10 @@ type plb struct {
 	cfg     Config
 	rnd     *rng.Source
 
-	// caps caches each node's density-scaled enforced capacities,
-	// indexed by Node.idx — one multiply per node per density change
-	// instead of one per capacity() call. Rebuilt lazily whenever the
-	// density factor moves.
-	caps        []LoadVector
-	capsDensity float64
+	// caps holds each node's density-scaled enforced capacities,
+	// indexed by Node.idx — one multiply per node at construction
+	// instead of one per capacity() call.
+	caps []LoadVector
 
 	// Scratch buffers reused across calls. The PLB runs strictly
 	// single-threaded on the simulation clock, and no caller retains
@@ -57,25 +55,14 @@ type plb struct {
 }
 
 func newPLB(c *Cluster, cfg Config) *plb {
-	return &plb{cluster: c, cfg: cfg, rnd: rng.New(cfg.PLBSeed)}
-}
-
-// ensureCaps refreshes the cached density-scaled capacities if the
-// density factor changed since they were computed.
-func (p *plb) ensureCaps() {
-	if p.capsDensity == p.cfg.Density && len(p.caps) == len(p.cluster.nodes) {
-		return
-	}
-	if cap(p.caps) < len(p.cluster.nodes) {
-		p.caps = make([]LoadVector, len(p.cluster.nodes))
-	}
-	p.caps = p.caps[:len(p.cluster.nodes)]
-	for _, n := range p.cluster.nodes {
+	p := &plb{cluster: c, cfg: cfg, rnd: rng.New(cfg.PLBSeed)}
+	p.caps = make([]LoadVector, len(c.nodes))
+	for _, n := range c.nodes {
 		v := n.Capacity
-		v[MetricCores] *= p.cfg.Density
+		v[MetricCores] *= cfg.Density
 		p.caps[n.idx] = v
 	}
-	p.capsDensity = p.cfg.Density
+	return p
 }
 
 // capacity returns node n's enforced capacity for metric m: core capacity
@@ -84,7 +71,6 @@ func (p *plb) ensureCaps() {
 // fixed, which is exactly why high density converts disk growth into
 // failovers).
 func (p *plb) capacity(n *Node, m MetricName) float64 {
-	p.ensureCaps()
 	return p.caps[n.idx][m]
 }
 
@@ -99,7 +85,6 @@ func (p *plb) freeCores(n *Node) float64 {
 // the annealer toward balanced, under-capacity assignments; utilization
 // above 1 is additionally penalized steeply so violations dominate.
 func (p *plb) nodeCost(n *Node, extra *LoadVector) float64 {
-	p.ensureCaps()
 	caps := &p.caps[n.idx]
 	cost := 0.0
 	for m := MetricCores; m < metricEnforcedEnd; m++ {
@@ -121,17 +106,17 @@ func (p *plb) nodeCost(n *Node, extra *LoadVector) float64 {
 	// clusters, keeping the default cost function bit-identical.
 	if len(p.fdUtil) > 0 {
 		u := p.fdUtil[n.FaultDomain]
-		cost += p.cfg.DomainSpreadWeight * u * u
+		cost += domainSpreadWeight * u * u
 	}
 	return cost
 }
 
 // refreshDomainUtil recomputes each fault domain's aggregate core
 // utilization (domain load over domain density-scaled capacity). No-op
-// unless a topology is configured and the spread term has weight.
+// unless a topology is configured.
 func (p *plb) refreshDomainUtil() {
 	fds := p.cfg.FaultDomains
-	if fds <= 0 || p.cfg.DomainSpreadWeight <= 0 {
+	if fds <= 0 {
 		return
 	}
 	if cap(p.fdUtil) < fds {
@@ -221,7 +206,6 @@ func (p *plb) place(svc *Service) ([]*Node, error) {
 func (p *plb) search(svc *Service) (chosen []*Node, feasibleCount, iterations int, err error) {
 	need := svc.ReservedCoresPerReplica
 	nodes := p.cluster.nodes
-	p.ensureCaps()
 
 	// Feasibility first: count up nodes with enough free cores. Replicas
 	// of one service must land on distinct nodes; drained and quarantined
@@ -316,14 +300,14 @@ func (p *plb) search(svc *Service) (chosen []*Node, feasibleCount, iterations in
 	best := append(p.best[:0], assign...)
 	p.best = best
 	bestCost := curCost
-	temp := p.cfg.SAInitialTemp
-	for it := 0; it < p.cfg.SAIterations; it++ {
+	temp := saInitialTemp
+	for it := 0; it < saIterations; it++ {
 		iterations++
 		ri := p.rnd.Intn(len(assign))
 		cand := feasible[p.rnd.Intn(len(feasible))]
 		if cand == assign[ri] || assignmentUses(assign, cand, ri) ||
 			(spread && assignmentUsesFD(assign, cand.FaultDomain, ri)) {
-			temp *= p.cfg.SACooling
+			temp *= saCooling
 			continue
 		}
 		old := assign[ri]
@@ -339,7 +323,7 @@ func (p *plb) search(svc *Service) (chosen []*Node, feasibleCount, iterations in
 		} else {
 			assign[ri] = old
 		}
-		temp *= p.cfg.SACooling
+		temp *= saCooling
 	}
 	return best, len(feasible), iterations, nil
 }
@@ -376,7 +360,6 @@ var violationFixOrder = [...]MetricName{MetricDiskGB, MetricMemoryGB, MetricCore
 // balancing moves.
 func (p *plb) scan(now time.Time) {
 	sp := p.cluster.obs.Span("plb.scan")
-	p.ensureCaps()
 	p.accrueDegradation()
 	// Gray-failure detection piggybacks on the scan cadence: one nil
 	// check on detection-free clusters (see slownode.go).
@@ -414,7 +397,7 @@ func (p *plb) accrueDegradation() {
 	if p.cfg.DegradationFactor <= 0 {
 		return
 	}
-	degraded := time.Duration(float64(p.cfg.ScanInterval) * p.cfg.DegradationFactor)
+	degraded := time.Duration(float64(scanInterval) * p.cfg.DegradationFactor)
 	for _, n := range p.cluster.nodes {
 		caps := &p.caps[n.idx]
 		over := false
@@ -443,10 +426,6 @@ func (p *plb) accrueDegradation() {
 // cap on moves remaining for the whole scan.
 func (p *plb) fixViolations(m MetricName, now time.Time, scanBudget int) int {
 	total := 0
-	stale := time.Duration(0)
-	if p.cluster.degraded {
-		stale = p.cfg.LoadStalenessTimeout
-	}
 	// Stable node order keeps runs reproducible given a fixed PLB seed.
 	for _, n := range p.cluster.nodes {
 		if !n.Up() || n.Load(m) <= p.capacity(n, m) {
@@ -458,7 +437,7 @@ func (p *plb) fixViolations(m MetricName, now time.Time, scanBudget int) int {
 			p.cluster.metrics.throttledMoves.Inc()
 			break
 		}
-		if stale > 0 && now.Sub(n.lastReport) > stale {
+		if p.cluster.degraded && now.Sub(n.lastReport) > loadStalenessTimeout {
 			// The apparent violation is built on loads nobody has confirmed
 			// within the staleness timeout — under faults, moving replicas
 			// on ancient data does more harm than waiting for a report.
@@ -624,7 +603,6 @@ func (p *plb) fitsOn(n *Node, extra *LoadVector) bool {
 // of the same service, minimizing post-move cost (with annealing noise).
 func (p *plb) chooseTarget(r *Replica) *Node {
 	svc := r.service
-	p.ensureCaps()
 	p.refreshDomainUtil()
 	extra := LoadVector{
 		MetricCores:    svc.ReservedCoresPerReplica,
@@ -680,7 +658,6 @@ func (p *plb) hostsServiceReplica(n *Node, svc *Service, r *Replica) bool {
 // utilization spread between the most- and least-loaded nodes exceeds the
 // configured threshold.
 func (p *plb) balance(now time.Time) {
-	p.ensureCaps()
 	var hi, lo *Node
 	var hiU, loU float64
 	for _, n := range p.cluster.nodes {

@@ -191,7 +191,7 @@ func TestDegradationAccrues(t *testing.T) {
 	svc, _ := c.CreateService("x", 1, 2, nil)
 	c.ReportLoad(svc.Replicas[0].ID, MetricDiskGB, 9000) // violation, unfixable
 	c.Clock().RunUntil(testStart.Add(time.Hour))
-	want := 12 * cfg.ScanInterval // 12 scans in an hour
+	want := 12 * scanInterval // 12 scans in an hour
 	if svc.Downtime != want {
 		t.Errorf("degradation downtime = %v, want %v", svc.Downtime, want)
 	}

@@ -114,8 +114,8 @@ func (c *Cluster) ResizeService(name string, newCores float64) (ResizeOutcome, e
 		// moveReplica reset the dynamic loads but kept the (new) core
 		// reservation; account the move in the outcome's latency.
 		moveLatency := inPlaceResizeLatency
-		if svc.ReplicaCount > 1 && c.cfg.BuildRateGBPerSec > 0 {
-			moveLatency += time.Duration(buildGB / c.cfg.BuildRateGBPerSec * float64(time.Second))
+		if svc.ReplicaCount > 1 {
+			moveLatency += time.Duration(buildGB / buildRateGBPerSec * float64(time.Second))
 		}
 		if moveLatency > out.Latency {
 			out.Latency = moveLatency
@@ -139,7 +139,7 @@ func (c *Cluster) ResizeService(name string, newCores float64) (ResizeOutcome, e
 // database starts with seeded data.
 func (c *Cluster) ProvisioningLatency(svc *Service) time.Duration {
 	const base = 45 * time.Second
-	if svc.ReplicaCount <= 1 || c.cfg.BuildRateGBPerSec <= 0 {
+	if svc.ReplicaCount <= 1 {
 		return base
 	}
 	// Replica builds run in parallel; the slowest (they are equal-sized)
@@ -150,5 +150,5 @@ func (c *Cluster) ProvisioningLatency(svc *Service) time.Duration {
 			diskGB = r.Loads[MetricDiskGB]
 		}
 	}
-	return base + time.Duration(diskGB/c.cfg.BuildRateGBPerSec*float64(time.Second))
+	return base + time.Duration(diskGB/buildRateGBPerSec*float64(time.Second))
 }

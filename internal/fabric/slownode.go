@@ -8,7 +8,7 @@ package fabric
 // cluster median and walks a detect → quarantine → drain → recover state
 // machine per node:
 //
-//   - a node whose EWMA exceeds Threshold × median is *detected*
+//   - a node whose EWMA exceeds slowNodeThreshold × median is *detected*
 //     ("slow-node-detected", chained to the chaos injection anchor when
 //     one exists, so attribution roots at chaos);
 //   - a node detected for Sustain is *quarantined*: its quarantinedUntil
@@ -36,15 +36,20 @@ import (
 	"toto/internal/obs"
 )
 
+// Fixed fail-slow scoring: every detector uses the same EWMA smoothing
+// and slow threshold.
+const (
+	// slowNodeEWMAAlpha is the smoothing factor of each node's latency
+	// EWMA in (0, 1]: higher weighs recent observations more.
+	slowNodeEWMAAlpha = 0.2
+	// slowNodeThreshold is the EWMA-over-cluster-median ratio at which a
+	// node is flagged slow (> 1).
+	slowNodeThreshold = 1.75
+)
+
 // SlowNodeConfig tunes fail-slow detection. Zero fields take the
 // defaults from DefaultSlowNodeConfig.
 type SlowNodeConfig struct {
-	// EWMAAlpha is the smoothing factor of each node's latency EWMA in
-	// (0, 1]: higher weighs recent observations more.
-	EWMAAlpha float64
-	// Threshold is the EWMA-over-cluster-median ratio at which a node is
-	// flagged slow (> 1).
-	Threshold float64
 	// MinSamples is how many latency observations a node needs before it
 	// is judged at all — and how many nodes need that many before a
 	// median exists.
@@ -72,8 +77,6 @@ type SlowNodeConfig struct {
 // DefaultSlowNodeConfig returns production-like detection thresholds.
 func DefaultSlowNodeConfig() SlowNodeConfig {
 	return SlowNodeConfig{
-		EWMAAlpha:     0.2,
-		Threshold:     1.75,
 		MinSamples:    8,
 		Sustain:       10 * time.Minute,
 		Probation:     30 * time.Minute,
@@ -131,12 +134,6 @@ type slowNodeDetector struct {
 // resets all episode state.
 func (c *Cluster) EnableSlowNodeDetection(cfg SlowNodeConfig) {
 	def := DefaultSlowNodeConfig()
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = def.EWMAAlpha
-	}
-	if cfg.Threshold <= 1 {
-		cfg.Threshold = def.Threshold
-	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = def.MinSamples
 	}
@@ -197,7 +194,7 @@ func (c *Cluster) ObserveNodeLatency(nodeID string, ms float64) {
 	if st.samples == 0 {
 		st.ewma = ms
 	} else {
-		st.ewma += d.cfg.EWMAAlpha * (ms - st.ewma)
+		st.ewma += slowNodeEWMAAlpha * (ms - st.ewma)
 	}
 	st.samples++
 }
@@ -257,7 +254,7 @@ func (d *slowNodeDetector) check(now time.Time) {
 				continue
 			}
 			// Probation lapsed: judge the node on what it did since.
-			if med > 0 && n.Up() && st.samples >= d.cfg.MinSamples && st.ewma >= d.cfg.Threshold*med {
+			if med > 0 && n.Up() && st.samples >= d.cfg.MinSamples && st.ewma >= slowNodeThreshold*med {
 				// Relapse — still slow on fresh samples. Open a new episode
 				// immediately; Sustain runs again before re-quarantine.
 				st.quarantinedAt, st.quarSeq = time.Time{}, 0
@@ -270,7 +267,7 @@ func (d *slowNodeDetector) check(now time.Time) {
 		if med <= 0 || !n.Up() || st.samples < d.cfg.MinSamples {
 			continue
 		}
-		if st.ewma >= d.cfg.Threshold*med {
+		if st.ewma >= slowNodeThreshold*med {
 			if st.overSince.IsZero() {
 				d.detect(n, st, now, med)
 			} else if now.Sub(st.overSince) >= d.cfg.Sustain {
@@ -294,7 +291,7 @@ func (d *slowNodeDetector) detect(n *Node, st *slowNodeState, now time.Time, med
 		Kind:  "slow-node-detected",
 		Node:  n.ID,
 		Value: st.ewma,
-		Limit: d.cfg.Threshold * med,
+		Limit: slowNodeThreshold * med,
 	}
 	if st.anchorSeq != 0 {
 		a.CauseSeq, a.Cause = st.anchorSeq, CauseChaos
@@ -321,7 +318,7 @@ func (d *slowNodeDetector) quarantine(n *Node, st *slowNodeState, now time.Time,
 		Kind:   "slow-node-quarantined",
 		Node:   n.ID,
 		Value:  st.ewma,
-		Limit:  d.cfg.Threshold * med,
+		Limit:  slowNodeThreshold * med,
 		Detail: "probation",
 	}
 	if st.detectedSeq != 0 {

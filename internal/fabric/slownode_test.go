@@ -17,8 +17,6 @@ func slowTestCluster(t *testing.T, nodes int) (*Cluster, *simclock.Clock) {
 	cfg := DefaultConfig()
 	c := NewCluster(clock, nodes, testCapacity(), cfg)
 	c.EnableSlowNodeDetection(SlowNodeConfig{
-		EWMAAlpha:     0.2,
-		Threshold:     1.75,
 		MinSamples:    4,
 		Sustain:       10 * time.Minute,
 		Probation:     30 * time.Minute,

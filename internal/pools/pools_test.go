@@ -69,21 +69,28 @@ func TestMembershipLifecycle(t *testing.T) {
 	if err := m.AddMember("p", "db2", 32, start.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if p.MemberCount() != 2 || m.TotalMembers() != 2 {
-		t.Errorf("members = %d/%d", p.MemberCount(), m.TotalMembers())
+	if got := p.Members(); len(got) != 2 || got[0].DB != "db1" || got[1].DB != "db2" {
+		t.Errorf("members = %v", got)
 	}
-	if pool, ok := m.PoolOf("db1"); !ok || pool != "p" {
-		t.Errorf("PoolOf = %q, %v", pool, ok)
-	}
-	// A member cannot join twice.
+	// A member cannot join twice, not even another pool.
 	if err := m.AddMember("p", "db1", 32, start); err == nil {
 		t.Error("duplicate member accepted")
+	}
+	if _, err := m.CreatePool("q", "GPPOOL_Gen5_4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddMember("q", "db1", 32, start); err == nil {
+		t.Error("member of p accepted into q")
 	}
 	if err := m.RemoveMember("p", "db1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.PoolOf("db1"); ok {
-		t.Error("removed member still registered")
+	if got := p.Members(); len(got) != 1 || got[0].DB != "db2" {
+		t.Errorf("members after remove = %v", got)
+	}
+	// A removed member is free to join another pool.
+	if err := m.AddMember("q", "db1", 32, start); err != nil {
+		t.Errorf("removed member still registered: %v", err)
 	}
 	if err := m.RemoveMember("p", "db1"); !errors.Is(err, ErrNoSuchMember) {
 		t.Errorf("double remove err = %v", err)
@@ -122,27 +129,6 @@ func TestPoolWithRoomPrefersExisting(t *testing.T) {
 	}
 	if got := m.PoolWithRoom(slo.PremiumBC); got != "p-bc" {
 		t.Errorf("BC pool = %q", got)
-	}
-}
-
-func TestDropPoolClearsMembers(t *testing.T) {
-	m, cp := newMgr(t, 5)
-	m.CreatePool("p", "GPPOOL_Gen5_4")
-	m.AddMember("p", "db1", 32, start)
-	if err := m.DropPool("p"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.PoolOf("db1"); ok {
-		t.Error("member survived pool drop")
-	}
-	if _, ok := m.Pool("p"); ok {
-		t.Error("pool survived drop")
-	}
-	if got := len(cp.Cluster().LiveServices()); got != 0 {
-		t.Errorf("live services = %d", got)
-	}
-	if err := m.DropPool("p"); !errors.Is(err, ErrNoSuchPool) {
-		t.Errorf("double drop err = %v", err)
 	}
 }
 

@@ -22,9 +22,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if sd := StdDev(xs); !almost(sd, math.Sqrt(32.0/7), 1e-12) {
 		t.Errorf("StdDev = %v", sd)
 	}
-	if pv := PopulationVariance(xs); !almost(pv, 4, 1e-12) {
-		t.Errorf("PopulationVariance = %v, want 4", pv)
-	}
 }
 
 func TestMeanEmpty(t *testing.T) {
@@ -114,39 +111,6 @@ func TestRMSE(t *testing.T) {
 	}
 	if _, err := RMSE(nil, nil); err == nil {
 		t.Error("RMSE empty not rejected")
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d", e.Len())
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	src := rng.New(77)
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = src.Normal(0, 5)
-	}
-	e := NewECDF(xs)
-	f := func(a, b float64) bool {
-		if a > b {
-			a, b = b, a
-		}
-		return e.At(a) <= e.At(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

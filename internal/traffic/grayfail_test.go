@@ -74,8 +74,6 @@ func runGrayfailDay(tb testing.TB, opts grayfailOpts, w *journal.Writer) (traffi
 	c := fabric.NewCluster(clock, 10, harnessCapacity(), cfg)
 	if opts.detect {
 		c.EnableSlowNodeDetection(fabric.SlowNodeConfig{
-			EWMAAlpha:     0.2,
-			Threshold:     1.75,
 			MinSamples:    8,
 			Sustain:       20 * time.Minute,
 			Probation:     4 * time.Hour,
