@@ -100,16 +100,15 @@ func TestDebugMuxTracesEndpoint(t *testing.T) {
 	}
 	rec.Bind(1, rng.New(1).Split("reqtrace"))
 	for i := 0; i < 3; i++ {
-		tr := rec.Begin(int64(i), "db-0")
-		tr.Add(reqtrace.SpanArrival, 0, 0)
-		tr.AddDispatch(0, float64(10+i), "node-1", 0.4)
 		outcome := reqtrace.OutcomeOK
 		if i == 2 {
 			outcome = reqtrace.OutcomeError
 		}
-		if _, ok := rec.Finish(outcome, 5, float64(10+i), 0, i, true); !ok {
+		if !rec.Decide(outcome, true) {
 			t.Fatalf("trace %d dropped", i)
 		}
+		rec.Keep(i, &reqtrace.Record{Time: int64(i), Service: "db-0", Outcome: outcome, Count: 5,
+			LatencyMs: float64(10 + i), Node: "node-1", Util: 0.4})
 	}
 	mux := newDebugMux(&obs.Session{}, nil, nil, rec)
 	srv := httptest.NewServer(mux)
@@ -136,7 +135,7 @@ func TestDebugMuxTracesEndpoint(t *testing.T) {
 	if len(payload.Traces) != 2 || payload.Traces[0].LatencyMs != 12 {
 		t.Errorf("slowest-first limit 2: %+v", payload.Traces)
 	}
-	if payload.Traces[0].OutcomeS != "error" || len(payload.Traces[0].Spans) != 2 {
+	if payload.Traces[0].OutcomeS != "error" || len(payload.Traces[0].Spans) != 5 {
 		t.Errorf("trace payload lost fields: %+v", payload.Traces[0])
 	}
 

@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -433,11 +432,4 @@ func NodeDispersionOf(r *core.Result) NodeDispersion {
 		cores = append(cores, ns.ReservedCores)
 	}
 	return NodeDispersion{Disk: stats.NewBoxPlot(disk), Cores: stats.NewBoxPlot(cores)}
-}
-
-// sortedDensities returns the study densities ascending (defensive copy).
-func (s *Study) sortedDensities() []float64 {
-	ds := append([]float64(nil), s.Config.Densities...)
-	sort.Float64s(ds)
-	return ds
 }

@@ -90,18 +90,6 @@ func (h *HourlyNormal) Sample(src *rng.Source, t time.Time) float64 {
 	return src.Normal(p.Mean, p.Sigma)
 }
 
-// SampleCount draws a non-negative integer count from the cell covering
-// t: a normal draw rounded to the nearest integer and clamped at zero,
-// which is how the Population Manager turns the hourly normal into
-// creates/drops per hour.
-func (h *HourlyNormal) SampleCount(src *rng.Source, t time.Time) int {
-	v := h.Sample(src, t)
-	if v <= 0 {
-		return 0
-	}
-	return int(v + 0.5)
-}
-
 // Buckets iterates all 48 cells in a stable order (weekday hours 0-23,
 // then weekend hours 0-23), calling fn for each.
 func (h *HourlyNormal) Buckets(fn func(HourBucket, NormalParam)) {

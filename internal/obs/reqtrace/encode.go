@@ -19,25 +19,33 @@ import (
 // service names never contain the separators (| ; @ ~), which the
 // engine's fixed vocabulary guarantees.
 
-// AppendDetail encodes tr onto buf and returns the extended slice. The
-// traffic engine reuses one buffer across traces, so a kept trace costs
-// exactly one string allocation (the annotation Detail).
-func AppendDetail(buf []byte, tr *Trace) []byte {
-	buf = append(buf, IDString(tr.ID)...)
+// AppendDetail encodes a kept record onto buf and returns the extended
+// slice. Its spans render into a stack array, and the traffic engine
+// reuses one buffer across traces, so a kept trace costs exactly one
+// string allocation (the annotation Detail).
+func AppendDetail(buf []byte, r *Record) []byte {
+	var spans [maxSpans]Span
+	return appendWire(buf, r.ID, r.Outcome, r.Count, r.LatencyMs, r.Retries, r.AppendSpans(spans[:0]))
+}
+
+// appendWire writes the wire format of one trace; DecodeDetail inverts
+// it for any span list.
+func appendWire(buf []byte, id uint64, outcome Outcome, count int64, latencyMs float64, retries int, spans []Span) []byte {
+	buf = appendID(buf, id)
 	buf = append(buf, '|')
-	buf = append(buf, tr.Outcome.String()...)
+	buf = append(buf, outcome.String()...)
 	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, tr.Count, 10)
+	buf = strconv.AppendInt(buf, count, 10)
 	buf = append(buf, '|')
-	buf = strconv.AppendFloat(buf, tr.LatencyMs, 'f', -1, 64)
+	buf = strconv.AppendFloat(buf, latencyMs, 'f', -1, 64)
 	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(tr.Retries), 10)
+	buf = strconv.AppendInt(buf, int64(retries), 10)
 	buf = append(buf, '|')
-	for i := range tr.Spans {
+	for i := range spans {
 		if i > 0 {
 			buf = append(buf, ';')
 		}
-		sp := &tr.Spans[i]
+		sp := &spans[i]
 		buf = append(buf, sp.Name...)
 		buf = append(buf, '@')
 		buf = strconv.AppendFloat(buf, sp.StartMs, 'f', -1, 64)
@@ -54,9 +62,6 @@ func AppendDetail(buf []byte, tr *Trace) []byte {
 	}
 	return buf
 }
-
-// EncodeDetail is AppendDetail into a fresh string (analysis-side use).
-func EncodeDetail(tr *Trace) string { return string(AppendDetail(nil, tr)) }
 
 // DecodeDetail parses a Detail string back into a Trace. Time and
 // Service are not part of the wire format — they ride in the annotation

@@ -1,25 +1,29 @@
 // Package reqtrace is per-request distributed tracing for the simulated
-// traffic plane. Every served request group carries a span tree —
+// traffic plane. Every served request group has a span sequence —
 // arrival → admission → breaker decision → dispatch
-// (node, utilization at dispatch) → retry backoff → completion or
-// failure — assembled in place from pooled buffers so the traffic hot
-// path never allocates for a trace it ends up dropping.
+// (node, utilization at dispatch) → retry backoff or hedge → completion
+// or failure.
 //
-// Sampling is tail-based and deterministic: the keep decision is made at
-// trace completion, when the outcome and latency are known. The sampler
-// keeps 100% of failed traces (errors, sheds, breaker rejections), the
-// first trace landing in each latency-histogram bucket per observation
-// hour (so every non-empty bucket — the p99 bucket of an SLO-violating
-// hour included — carries an exemplar), and 1-in-N successes drawn from
-// a dedicated internal/rng stream split off the traffic seed. Because
-// the stream is independent and the decision order is fixed by the
+// Sampling is tail-based and deterministic. The sampler keeps 100% of
+// failed traces (errors, sheds, breaker rejections), the first trace
+// landing in each latency-histogram bucket per observation hour (so
+// every non-empty bucket — the p99 bucket of an SLO-violating hour
+// included — carries an exemplar), and 1-in-N successes drawn from a
+// dedicated internal/rng stream split off the traffic seed. Because the
+// stream is independent and the decision order is fixed by the
 // simulation goroutine, a traced run is bit-reproducible and the
 // modeled request stream is bit-identical to the untraced run.
 //
+// The decision needs only the outcome, the bucket state and that one
+// draw, so the engine decides first (Recorder.Decide) and builds
+// nothing for a dropped group. A kept group is stored as a fixed
+// Record, from which each of the six span sequences follows;
+// Record.AppendSpans renders them for the journal encoder and /traces.
+//
 // The engine is aggregate — it serves request groups, not individual
-// requests — so one Trace represents Count requests that took the same
+// requests — so one trace represents Count requests that took the same
 // path at the same modeled latency. Kept traces are encoded into the
-// journal's annotation Detail field (see EncodeDetail) inside the same
+// journal's annotation Detail field (see AppendDetail) inside the same
 // causal bracket as the failure they describe, so a trace's root cause
 // is exactly the journal's attribution for the incident.
 package reqtrace
@@ -95,8 +99,9 @@ type Span struct {
 	Util    float64 `json:"util,omitempty"`
 }
 
-// Trace is one kept request group: Count requests that took the same
-// path through the front end at the same modeled latency.
+// Trace is one kept request group with its spans, as /traces serves it
+// and DecodeDetail parses it: Count requests that took the same path
+// through the front end at the same modeled latency.
 type Trace struct {
 	ID        uint64  `json:"-"`
 	IDHex     string  `json:"id"`
@@ -110,8 +115,18 @@ type Trace struct {
 	Spans     []Span  `json:"spans"`
 }
 
-// IDString formats a trace ID the way every surface prints it.
-func IDString(id uint64) string { return fmt.Sprintf("%016x", id) }
+// IDString formats a trace ID the way every surface prints it: 16
+// lower-case hex digits.
+func IDString(id uint64) string { return string(appendID(make([]byte, 0, 16), id)) }
+
+// appendID is IDString onto buf, without allocating.
+func appendID(buf []byte, id uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		buf = append(buf, digits[id>>shift&0xf])
+	}
+	return buf
+}
 
 // TraceID derives the deterministic ID of a trace from its identity:
 // the sampler seed, arrival time, service, outcome, and the group's
@@ -247,24 +262,93 @@ func (s *Sampler) Keep(outcome Outcome, bucketFirst bool) bool {
 // Stats returns a copy of the sampler's counters.
 func (s *Sampler) Stats() Stats { return s.stats }
 
-// Recorder assembles traces allocation-free and retains kept ones in a
-// bounded ring for the live /traces endpoint. The assembly side (Begin/
-// span appends/Finish) runs on the simulation goroutine only; the ring
-// and stats are mutex-guarded so an HTTP goroutine may snapshot them
-// mid-run.
+// Record is a kept request group stored as its fixed shape: the
+// outcome and the few numbers its whole span sequence follows from. The
+// ring and the journal encoder work from records, so a kept trace has
+// no span list until /traces asks for one.
+type Record struct {
+	ID           uint64
+	Time         int64 // arrival, Unix nanoseconds of sim time
+	Service      string
+	Outcome      Outcome
+	Count        int64
+	LatencyMs    float64
+	Retries      int
+	BackoffMs    float64 // a rescued retry's wait before dispatch (unhedged successes)
+	HedgeDelayMs float64 // when a hedged group's speculative attempt launched
+	Hedged, Won  bool    // the group raced a hedge; the hedge finished first
+	Node         string  // the dispatch span's host node
+	Util         float64 // and its core utilization at dispatch time
+}
+
+// maxSpans is the longest shape: a success with a backoff or a hedge.
+const maxSpans = 6
+
+// AppendSpans appends the record's spans to dst in path order. It is
+// the one definition of the six shapes — shed, breaker-rejected, error,
+// success (with or without a retry backoff), hedged win and hedged
+// loss — and keeps the float expressions the engine once assembled
+// spans with, so the rendered and encoded bytes are those of the span
+// lists it replaced.
+func (r *Record) AppendSpans(dst []Span) []Span {
+	dst = append(dst, Span{Name: SpanArrival}, Span{Name: SpanAdmission})
+	switch r.Outcome {
+	case OutcomeShed:
+		return append(dst, Span{Name: SpanShed})
+	case OutcomeRejected:
+		return append(dst, Span{Name: SpanBreaker}, Span{Name: SpanReject})
+	case OutcomeError:
+		return append(dst, Span{Name: SpanBreaker},
+			Span{Name: SpanDispatch, DurMs: r.LatencyMs, Node: r.Node, Util: r.Util},
+			Span{Name: SpanError, StartMs: r.LatencyMs})
+	}
+	dst = append(dst, Span{Name: SpanBreaker})
+	v := r.LatencyMs
+	switch {
+	case r.Hedged && r.Won:
+		dst = append(dst, Span{Name: SpanDispatch, DurMs: r.HedgeDelayMs, Node: r.Node, Util: r.Util},
+			Span{Name: SpanHedge, StartMs: r.HedgeDelayMs, DurMs: v - r.HedgeDelayMs})
+	case r.Hedged:
+		// Launched, but beaten by the original attempt.
+		dst = append(dst, Span{Name: SpanDispatch, DurMs: v, Node: r.Node, Util: r.Util},
+			Span{Name: SpanHedge, StartMs: r.HedgeDelayMs})
+	default:
+		svcMs := v - r.BackoffMs
+		if svcMs < 0 {
+			svcMs = 0
+		}
+		if r.BackoffMs > 0 {
+			// A rescued retry: the first attempt's failure is folded into
+			// the backoff wait, then the successful attempt dispatches.
+			dst = append(dst, Span{Name: SpanBackoff, DurMs: r.BackoffMs})
+		}
+		dst = append(dst, Span{Name: SpanDispatch, StartMs: r.BackoffMs, DurMs: svcMs, Node: r.Node, Util: r.Util})
+	}
+	return append(dst, Span{Name: SpanComplete, StartMs: v})
+}
+
+// Trace renders the record with its spans, as /traces serves it.
+func (r *Record) Trace() Trace {
+	return Trace{
+		ID: r.ID, IDHex: IDString(r.ID), Time: r.Time, Service: r.Service,
+		Outcome: r.Outcome, OutcomeS: r.Outcome.String(), Count: r.Count,
+		LatencyMs: r.LatencyMs, Retries: r.Retries,
+		Spans: r.AppendSpans(make([]Span, 0, maxSpans)),
+	}
+}
+
+// Recorder makes the keep decision for each request group and retains
+// kept ones in a bounded ring for the live /traces endpoint. Decide and
+// Keep run on the simulation goroutine only; the ring is mutex-guarded
+// so an HTTP goroutine may snapshot it mid-run.
 type Recorder struct {
 	spec    Spec
 	sampler *Sampler
 	seed    uint64
 
-	// cur is the in-progress trace. Its Spans backing array is reused
-	// across groups, so a dropped trace costs zero allocations.
-	cur Trace
-
 	mu   sync.Mutex
-	ring []Trace
+	ring []Record
 	next int
-	kept int64
 }
 
 // NewRecorder validates the spec and builds an unbound recorder. Bind
@@ -279,8 +363,7 @@ func NewRecorder(spec *Spec) (*Recorder, error) {
 	resolved := spec.withDefaults()
 	return &Recorder{
 		spec: resolved,
-		cur:  Trace{Spans: make([]Span, 0, 8)},
-		ring: make([]Trace, 0, resolved.RingSize),
+		ring: make([]Record, 0, resolved.RingSize),
 	}, nil
 }
 
@@ -291,63 +374,28 @@ func (r *Recorder) Bind(seed uint64, rnd *rng.Source) {
 	r.sampler = NewSampler(r.spec, rnd)
 }
 
-// Begin resets the in-progress trace for a new request group and
-// returns it for span assembly. No allocation: the span slice's backing
-// array is reused.
-func (r *Recorder) Begin(t int64, service string) *Trace {
-	r.cur.ID = 0
-	r.cur.IDHex = ""
-	r.cur.Time = t
-	r.cur.Service = service
-	r.cur.Outcome = OutcomeOK
-	r.cur.OutcomeS = ""
-	r.cur.Count = 0
-	r.cur.LatencyMs = 0
-	r.cur.Retries = 0
-	r.cur.Spans = r.cur.Spans[:0]
-	return &r.cur
+// Decide runs the tail-based keep decision for the next request group
+// (see Sampler.Keep). It needs only the outcome and the bucket state,
+// so callers decide before building anything: a dropped group costs
+// this call and nothing else.
+func (r *Recorder) Decide(outcome Outcome, bucketFirst bool) bool {
+	return r.sampler.Keep(outcome, bucketFirst)
 }
 
-// Add appends a plain span to the in-progress trace.
-func (t *Trace) Add(name string, startMs, durMs float64) {
-	t.Spans = append(t.Spans, Span{Name: name, StartMs: startMs, DurMs: durMs})
-}
-
-// AddDispatch appends a dispatch span carrying the host node and its
-// utilization at dispatch time.
-func (t *Trace) AddDispatch(startMs, durMs float64, node string, util float64) {
-	t.Spans = append(t.Spans, Span{Name: SpanDispatch, StartMs: startMs, DurMs: durMs, Node: node, Util: util})
-}
-
-// Finish completes the in-progress trace and runs the tail-based keep
-// decision. group indexes the trace within its (time, service, outcome)
-// tick so IDs stay unique when one tick emits several groups. When kept,
-// the trace's ID is assigned and a deep copy enters the ring; the
-// returned pointer (still the pooled buffer) is only valid until the
-// next Begin.
-func (r *Recorder) Finish(outcome Outcome, count int64, latencyMs float64, retries, group int, bucketFirst bool) (*Trace, bool) {
-	r.cur.Outcome = outcome
-	r.cur.OutcomeS = outcome.String()
-	r.cur.Count = count
-	r.cur.LatencyMs = latencyMs
-	r.cur.Retries = retries
-	if !r.sampler.Keep(outcome, bucketFirst) {
-		return nil, false
-	}
-	r.cur.ID = TraceID(r.seed, r.cur.Time, r.cur.Service, outcome, group)
-	r.cur.IDHex = IDString(r.cur.ID)
-	cp := r.cur
-	cp.Spans = append([]Span(nil), r.cur.Spans...)
+// Keep stores a group Decide kept. It sets tr.ID from the recorder
+// seed, tr's arrival time, service and outcome, and group — the
+// trace's index within its (time, service) tick, so IDs stay unique
+// when one tick emits several groups — and copies tr into the ring.
+func (r *Recorder) Keep(group int, tr *Record) {
+	tr.ID = TraceID(r.seed, tr.Time, tr.Service, tr.Outcome, group)
 	r.mu.Lock()
 	if len(r.ring) < r.spec.RingSize {
-		r.ring = append(r.ring, cp)
+		r.ring = append(r.ring, *tr)
 	} else {
-		r.ring[r.next] = cp
+		r.ring[r.next] = *tr
 		r.next = (r.next + 1) % r.spec.RingSize
 	}
-	r.kept++
 	r.mu.Unlock()
-	return &r.cur, true
 }
 
 // Stats returns the sampler counters. Safe to call from any goroutine
@@ -369,43 +417,47 @@ type Query struct {
 	Slowest bool    // sort by latency descending instead of arrival order
 }
 
-// Snapshot copies the kept-trace ring, oldest first, applying the
+// Snapshot renders the kept-trace ring, oldest first, applying the
 // query. Safe for concurrent use with the simulation goroutine.
 func (r *Recorder) Snapshot(q Query) []Trace {
 	r.mu.Lock()
-	out := make([]Trace, 0, len(r.ring))
-	appendIf := func(t Trace) {
-		if q.Service != "" && t.Service != q.Service {
+	sel := make([]Record, 0, len(r.ring))
+	appendIf := func(tr *Record) {
+		if q.Service != "" && tr.Service != q.Service {
 			return
 		}
-		if q.Outcome != "" && t.OutcomeS != q.Outcome {
+		if q.Outcome != "" && tr.Outcome.String() != q.Outcome {
 			return
 		}
-		if t.LatencyMs < q.MinMs {
+		if tr.LatencyMs < q.MinMs {
 			return
 		}
-		out = append(out, t)
+		sel = append(sel, *tr)
 	}
 	for i := r.next; i < len(r.ring); i++ {
-		appendIf(r.ring[i])
+		appendIf(&r.ring[i])
 	}
 	for i := 0; i < r.next; i++ {
-		appendIf(r.ring[i])
+		appendIf(&r.ring[i])
 	}
 	r.mu.Unlock()
 	if q.Slowest {
-		for i := 1; i < len(out); i++ { // insertion sort: rings are small
-			for j := i; j > 0 && out[j].LatencyMs > out[j-1].LatencyMs; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
+		for i := 1; i < len(sel); i++ { // insertion sort: rings are small
+			for j := i; j > 0 && sel[j].LatencyMs > sel[j-1].LatencyMs; j-- {
+				sel[j], sel[j-1] = sel[j-1], sel[j]
 			}
 		}
 	}
-	if q.Limit > 0 && len(out) > q.Limit {
+	if q.Limit > 0 && len(sel) > q.Limit {
 		if q.Slowest {
-			out = out[:q.Limit]
+			sel = sel[:q.Limit]
 		} else {
-			out = out[len(out)-q.Limit:] // newest when in arrival order
+			sel = sel[len(sel)-q.Limit:] // newest when in arrival order
 		}
+	}
+	out := make([]Trace, len(sel))
+	for i := range sel {
+		out[i] = sel[i].Trace()
 	}
 	return out
 }

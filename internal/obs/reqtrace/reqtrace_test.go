@@ -1,10 +1,16 @@
 package reqtrace
 
 import (
+	"fmt"
 	"testing"
 
 	"toto/internal/rng"
 )
+
+// encodeTrace writes an arbitrary span list in the wire format.
+func encodeTrace(tr *Trace) string {
+	return string(appendWire(nil, tr.ID, tr.Outcome, tr.Count, tr.LatencyMs, tr.Retries, tr.Spans))
+}
 
 // TestEncodeDecodeRoundTrip: every field — including shortest-form
 // floats — survives the annotation wire format bit-identically.
@@ -35,7 +41,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, in := range traces {
 		in.IDHex = IDString(in.ID)
 		in.OutcomeS = in.Outcome.String()
-		wire := EncodeDetail(&in)
+		wire := encodeTrace(&in)
 		out, err := DecodeDetail(wire)
 		if err != nil {
 			t.Fatalf("decode %q: %v", wire, err)
@@ -54,7 +60,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 		// Re-encoding the decoded trace must reproduce the wire bytes.
-		if again := EncodeDetail(&out); again != wire {
+		if again := encodeTrace(&out); again != wire {
 			t.Fatalf("re-encode drifted:\n first=%q\nsecond=%q", wire, again)
 		}
 	}
@@ -107,6 +113,11 @@ func TestTraceIDStable(t *testing.T) {
 	}
 	if got := IDString(0xabc); got != "0000000000000abc" {
 		t.Fatalf("IDString = %q", got)
+	}
+	for _, id := range []uint64{0, 1, 0xf0, a, ^uint64(0), 1 << 63} {
+		if got, want := IDString(id), fmt.Sprintf("%016x", id); got != want {
+			t.Fatalf("IDString(%d) = %q, want %q", id, got, want)
+		}
 	}
 }
 
@@ -171,7 +182,7 @@ func TestSamplerDrawIndependentOfBucketState(t *testing.T) {
 }
 
 // TestRecorderRingAndSnapshot: ring rotation keeps the newest RingSize
-// traces, Finish deep-copies spans out of the pooled buffer, and
+// traces, Keep assigns IDs and copies the record into the ring, and
 // Snapshot's filters and ordering behave.
 func TestRecorderRingAndSnapshot(t *testing.T) {
 	rec, err := NewRecorder(&Spec{SampleOneIn: 1, RingSize: 4})
@@ -184,19 +195,18 @@ func TestRecorderRingAndSnapshot(t *testing.T) {
 		if i%2 == 1 {
 			svc = "svc-b"
 		}
-		tr := rec.Begin(int64(i), svc)
-		tr.Add(SpanArrival, 0, 0)
-		tr.AddDispatch(0, float64(i), "node-1", 0.5)
 		outcome := OutcomeOK
 		if i == 9 {
 			outcome = OutcomeError
 		}
-		kept, ok := rec.Finish(outcome, 10, float64(i), 0, i, true)
-		if !ok || kept == nil {
+		if !rec.Decide(outcome, true) {
 			t.Fatalf("trace %d not kept (SampleOneIn=1, bucketFirst)", i)
 		}
-		if kept.ID == 0 || kept.IDHex != IDString(kept.ID) {
-			t.Fatalf("trace %d has no ID", i)
+		tr := Record{Time: int64(i), Service: svc, Outcome: outcome, Count: 10,
+			LatencyMs: float64(i), Node: "node-1", Util: 0.5}
+		rec.Keep(i, &tr)
+		if tr.ID == 0 || tr.ID != TraceID(9, int64(i), svc, outcome, i) {
+			t.Fatalf("trace %d has ID %016x", i, tr.ID)
 		}
 	}
 
@@ -209,14 +219,12 @@ func TestRecorderRingAndSnapshot(t *testing.T) {
 		if tr.Time != int64(6+i) {
 			t.Fatalf("ring order: slot %d has time %d", i, tr.Time)
 		}
-		if len(tr.Spans) != 2 || tr.Spans[1].Node != "node-1" {
+		if tr.IDHex != IDString(tr.ID) {
+			t.Fatalf("ring trace %d: id %q for %016x", i, tr.IDHex, tr.ID)
+		}
+		if len(tr.Spans) != 5 || tr.Spans[3].Name != SpanDispatch || tr.Spans[3].Node != "node-1" {
 			t.Fatalf("ring trace %d lost its spans: %+v", i, tr.Spans)
 		}
-	}
-	// The pooled buffer was reused; the ring copies must be independent.
-	rec.Begin(99, "scratch").Add(SpanShed, 1, 2)
-	if again := rec.Snapshot(Query{}); again[0].Spans[0].Name != SpanArrival {
-		t.Fatal("ring trace aliases the pooled span buffer")
 	}
 
 	if got := rec.Snapshot(Query{Service: "svc-b"}); len(got) != 2 {

@@ -429,7 +429,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 		aSeq, aKind := e.bestAnchor(now)
 		e.annotate(KindRequestShed, now, s.Name, float64(shed), float64(n), "admission-overflow", aSeq, aKind)
 		if e.rec != nil {
-			e.traceFail(now, s.Name, reqtrace.OutcomeShed, int64(shed), 0, aSeq, aKind)
+			e.traceFailure(now, reqtrace.Record{Service: s.Name, Outcome: reqtrace.OutcomeShed, Count: int64(shed)}, aSeq, aKind)
 		}
 	}
 	e.stats.Admitted += int64(take)
@@ -449,7 +449,7 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 		e.hourFailed += int64(rejected)
 		if e.rec != nil {
 			aSeq, aKind := e.bestAnchor(now)
-			e.traceFail(now, s.Name, reqtrace.OutcomeRejected, int64(rejected), 0, aSeq, aKind)
+			e.traceFailure(now, reqtrace.Record{Service: s.Name, Outcome: reqtrace.OutcomeRejected, Count: int64(rejected)}, aSeq, aKind)
 		}
 	}
 
@@ -522,8 +522,10 @@ func (e *Engine) serveOne(now time.Time, s *fabric.Service, shape float64, premi
 		aSeq, aKind := e.bestAnchor(now)
 		e.annotate(KindRequestErrors, now, s.Name, float64(errors), float64(pass), health.String(), aSeq, aKind)
 		if e.rec != nil {
-			// Retried-then-failed attempts belong to the error group.
-			e.traceError(now, s.Name, int64(errors), meanMs, retriable-saved, aSeq, aKind)
+			// The group counts one retry when any of its failed attempts
+			// was retried first.
+			e.traceFailure(now, reqtrace.Record{Service: s.Name, Outcome: reqtrace.OutcomeError, Count: int64(errors),
+				LatencyMs: meanMs, Retries: min(retriable-saved, 1), Node: e.lastNode, Util: e.lastUtil}, aSeq, aKind)
 		}
 	}
 
@@ -688,7 +690,7 @@ func (e *Engine) observeCell(now time.Time, svc string, k int64, mult, ms, backM
 			e.tickHedges += granted
 			hb := BucketIndex(hv)
 			if e.rec != nil {
-				e.traceHedged(now, svc, granted, hb, hv, win)
+				e.traceOK(now, svc, granted, hb, hv, 0, 0, true, win)
 			}
 			e.hourHist.add(hb, hv, granted)
 			k -= granted
@@ -699,114 +701,50 @@ func (e *Engine) observeCell(now time.Time, svc string, k int64, mult, ms, backM
 	}
 	b := BucketIndex(v)
 	if e.rec != nil {
-		e.traceOK(now, svc, k, b, v, backMs*mult, retries)
+		e.traceOK(now, svc, k, b, v, backMs*mult, retries, false, false)
 	}
 	e.hourHist.add(b, v, k)
 }
 
-// traceFail assembles and offers a failure trace (shed or breaker-
-// rejected group) to the sampler. Failures are always kept.
-func (e *Engine) traceFail(now time.Time, svc string, outcome reqtrace.Outcome, count int64, latMs float64, aSeq uint64, aKind fabric.CauseKind) {
-	tr := e.rec.Begin(now.UnixNano(), svc)
-	tr.Add(reqtrace.SpanArrival, 0, 0)
-	tr.Add(reqtrace.SpanAdmission, 0, 0)
-	if outcome == reqtrace.OutcomeRejected {
-		tr.Add(reqtrace.SpanBreaker, 0, 0)
-		tr.Add(reqtrace.SpanReject, 0, 0)
-	} else {
-		tr.Add(reqtrace.SpanShed, 0, 0)
-	}
+// traceFailure offers a failed group — shed, breaker-rejected, or
+// dispatched and finally failed — to the sampler. Failures are always
+// kept, so building tr before the decision wastes nothing.
+func (e *Engine) traceFailure(now time.Time, tr reqtrace.Record, aSeq uint64, aKind fabric.CauseKind) {
 	group := e.traceGroup
 	e.traceGroup++
-	if kept, ok := e.rec.Finish(outcome, count, latMs, 0, group, false); ok {
-		e.emitTrace(now, svc, kept, aSeq, aKind)
+	if e.rec.Decide(tr.Outcome, false) {
+		e.keepTrace(now, group, &tr, aSeq, aKind)
 	}
 }
 
-// traceError assembles the trace for a group of dispatched requests
-// that finally failed; retried reports how many of them burned a retry.
-func (e *Engine) traceError(now time.Time, svc string, count int64, meanMs float64, retried int, aSeq uint64, aKind fabric.CauseKind) {
-	tr := e.rec.Begin(now.UnixNano(), svc)
-	tr.Add(reqtrace.SpanArrival, 0, 0)
-	tr.Add(reqtrace.SpanAdmission, 0, 0)
-	tr.Add(reqtrace.SpanBreaker, 0, 0)
-	tr.AddDispatch(0, meanMs, e.lastNode, e.lastUtil)
-	tr.Add(reqtrace.SpanError, meanMs, 0)
-	retries := 0
-	if retried > 0 {
-		retries = 1
-	}
+// traceOK offers a success group: one latency-spread cell of latency v
+// in histogram bucket b, whose backMs of retry backoff preceded its
+// dispatch — or, when hedged, that raced a speculative attempt launched
+// at the hedge delay (won: the speculative one finished first). The
+// decision comes first, so a dropped group builds nothing. The first
+// trace into an empty bucket is always kept as that bucket's exemplar;
+// otherwise the deterministic 1-in-N sampler rules.
+func (e *Engine) traceOK(now time.Time, svc string, count int64, b int, v, backMs float64, retries int, hedged, won bool) {
 	group := e.traceGroup
 	e.traceGroup++
-	if kept, ok := e.rec.Finish(reqtrace.OutcomeError, count, meanMs, retries, group, false); ok {
-		e.emitTrace(now, svc, kept, aSeq, aKind)
+	if !e.rec.Decide(reqtrace.OutcomeOK, e.hourHist.needsExemplar(b)) {
+		return
 	}
+	tr := reqtrace.Record{Service: svc, Count: count, LatencyMs: v, Retries: retries, BackoffMs: backMs,
+		HedgeDelayMs: e.hedgeDelayMs, Hedged: hedged, Won: won, Node: e.lastNode, Util: e.lastUtil}
+	aSeq, aKind := e.bestAnchor(now)
+	e.keepTrace(now, group, &tr, aSeq, aKind)
+	e.hourHist.setExemplar(b, v, tr.ID)
 }
 
-// traceOK assembles a success trace for one latency-spread cell of
-// latency v in histogram bucket b. The first trace into an empty bucket
-// is always kept as that bucket's exemplar; otherwise the deterministic
-// 1-in-N sampler rules.
-func (e *Engine) traceOK(now time.Time, svc string, count int64, b int, v, backMs float64, retries int) {
-	bucketFirst := e.hourHist.needsExemplar(b)
-	tr := e.rec.Begin(now.UnixNano(), svc)
-	tr.Add(reqtrace.SpanArrival, 0, 0)
-	tr.Add(reqtrace.SpanAdmission, 0, 0)
-	tr.Add(reqtrace.SpanBreaker, 0, 0)
-	svcMs := v - backMs
-	if svcMs < 0 {
-		svcMs = 0
-	}
-	if backMs > 0 {
-		// A rescued retry: the first attempt's failure is folded into the
-		// backoff wait, then the successful attempt dispatches.
-		tr.Add(reqtrace.SpanBackoff, 0, backMs)
-	}
-	tr.AddDispatch(backMs, svcMs, e.lastNode, e.lastUtil)
-	tr.Add(reqtrace.SpanComplete, v, 0)
-	group := e.traceGroup
-	e.traceGroup++
-	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, retries, group, bucketFirst); ok {
-		e.hourHist.setExemplar(b, v, kept.ID)
-		aSeq, aKind := e.bestAnchor(now)
-		e.emitTrace(now, svc, kept, aSeq, aKind)
-	}
-}
-
-// traceHedged assembles a success trace for a hedged latency-spread
-// cell: the dispatch raced a speculative attempt launched at the hedge
-// delay, and v, in histogram bucket b, is whichever path finished first.
-// On a win the hedge span carries the alternate's service time; on a
-// loss it is zero-duration — launched, but beaten by the original.
-func (e *Engine) traceHedged(now time.Time, svc string, count int64, b int, v float64, win bool) {
-	bucketFirst := e.hourHist.needsExemplar(b)
-	tr := e.rec.Begin(now.UnixNano(), svc)
-	tr.Add(reqtrace.SpanArrival, 0, 0)
-	tr.Add(reqtrace.SpanAdmission, 0, 0)
-	tr.Add(reqtrace.SpanBreaker, 0, 0)
-	if win {
-		tr.AddDispatch(0, e.hedgeDelayMs, e.lastNode, e.lastUtil)
-		tr.Add(reqtrace.SpanHedge, e.hedgeDelayMs, v-e.hedgeDelayMs)
-	} else {
-		tr.AddDispatch(0, v, e.lastNode, e.lastUtil)
-		tr.Add(reqtrace.SpanHedge, e.hedgeDelayMs, 0)
-	}
-	tr.Add(reqtrace.SpanComplete, v, 0)
-	group := e.traceGroup
-	e.traceGroup++
-	if kept, ok := e.rec.Finish(reqtrace.OutcomeOK, count, v, 0, group, bucketFirst); ok {
-		e.hourHist.setExemplar(b, v, kept.ID)
-		aSeq, aKind := e.bestAnchor(now)
-		e.emitTrace(now, svc, kept, aSeq, aKind)
-	}
-}
-
-// emitTrace journals one kept trace inside the causal bracket of the
-// incident that explains it, reusing the engine's encode buffer so a
-// kept trace costs one allocation (the Detail string).
-func (e *Engine) emitTrace(now time.Time, svc string, tr *reqtrace.Trace, aSeq uint64, aKind fabric.CauseKind) {
+// keepTrace stores a kept group and journals it inside the causal
+// bracket of the incident that explains it, reusing the engine's encode
+// buffer so a kept trace costs one allocation (the Detail string).
+func (e *Engine) keepTrace(now time.Time, group int, tr *reqtrace.Record, aSeq uint64, aKind fabric.CauseKind) {
+	tr.Time = now.UnixNano()
+	e.rec.Keep(group, tr)
 	e.detailBuf = reqtrace.AppendDetail(e.detailBuf[:0], tr)
-	e.annotate(KindRequestTrace, now, svc, float64(tr.Count), tr.LatencyMs, string(e.detailBuf), aSeq, aKind)
+	e.annotate(KindRequestTrace, now, tr.Service, float64(tr.Count), tr.LatencyMs, string(e.detailBuf), aSeq, aKind)
 }
 
 // flush closes one observation hour: latency quantiles and rates go to

@@ -30,6 +30,16 @@ const (
 	goldenGrayfailStreamCount = 180
 )
 
+// goldenHedgedTraceStreamHash locks the sampled-trace stream of the
+// same day traced at 1-in-20 (traceStreamHash: every request-trace and
+// request-trace-hour annotation). It is the only golden whose kept
+// traces carry hedge spans, so it pins the hedged-win and hedged-loss
+// shapes byte for byte.
+const (
+	goldenHedgedTraceStreamHash  = "7c567eeb89a4fbc6364cfff666bdf4f93b9b383877e2e83f640780bfc535f15d"
+	goldenHedgedTraceStreamCount = 17465
+)
+
 // grayfailSlowFn is the deterministic fail-slow stand-in the traffic
 // tests use instead of a chaos engine (importing internal/chaos here
 // would cycle): node-3 ramps to a 4× service-time multiplier over hour
@@ -273,6 +283,9 @@ func TestTracedHedgingLeavesPlaneUntouched(t *testing.T) {
 	}
 	if h, n := grayfailStreamHash(entries); h != goldenGrayfailStreamHash || n != goldenGrayfailStreamCount {
 		t.Errorf("traced grayfail stream = %s/%d, want golden %s/%d", h, n, goldenGrayfailStreamHash, goldenGrayfailStreamCount)
+	}
+	if h, n := traceStreamHash(entries); h != goldenHedgedTraceStreamHash || n != goldenHedgedTraceStreamCount {
+		t.Errorf("hedged trace stream = %s/%d, want golden %s/%d", h, n, goldenHedgedTraceStreamHash, goldenHedgedTraceStreamCount)
 	}
 
 	hedged := 0
