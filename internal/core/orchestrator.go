@@ -36,15 +36,13 @@ type Orchestrator struct {
 	Recorder *telemetry.Recorder
 	Pools    *pools.Manager
 
-	managers map[string]*rgmanager.Manager
+	// managers holds each node's RgManager at the node's Index.
+	managers []*rgmanager.Manager
 	// models decodes each Naming Service version of the model XML once
 	// for every RgManager and the Population Manager.
-	models *models.SetCache
-	dbinfo map[string]rgmanager.DBInfo
-	// diskGBSeconds integrates each database's primary disk usage over
-	// time, feeding the storage-revenue term.
-	diskGBSeconds map[string]float64
-	lastReport    time.Time
+	models     *models.SetCache
+	dbs        map[string]*dbRecord
+	lastReport time.Time
 
 	tickers   []*simclock.Ticker
 	obs       *obs.Obs
@@ -92,16 +90,15 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	}
 
 	o := &Orchestrator{
-		Scenario:      s,
-		Clock:         clock,
-		Cluster:       cluster,
-		Control:       controlplane.New(cluster, s.Catalog),
-		managers:      make(map[string]*rgmanager.Manager),
-		models:        &models.SetCache{},
-		dbinfo:        make(map[string]rgmanager.DBInfo),
-		diskGBSeconds: make(map[string]float64),
-		lastReport:    s.Start,
-		obs:           s.Obs,
+		Scenario:   s,
+		Clock:      clock,
+		Cluster:    cluster,
+		Control:    controlplane.New(cluster, s.Catalog),
+		managers:   make([]*rgmanager.Manager, len(cluster.Nodes())),
+		models:     &models.SetCache{},
+		dbs:        make(map[string]*dbRecord),
+		lastReport: s.Start,
+		obs:        s.Obs,
 	}
 
 	// One RgManager per node, each with a unique seed split from the
@@ -110,7 +107,7 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	for _, n := range cluster.Nodes() {
 		mgr := rgmanager.New(n.ID, cluster.Naming(), o.models, seedRoot.Split(n.ID).Uint64())
 		mgr.SetObs(s.Obs)
-		o.managers[n.ID] = mgr
+		o.managers[n.Index()] = mgr
 	}
 
 	o.Recorder = telemetry.NewRecorder(clock, cluster, telemetryInterval, s.NodeTelemetryInterval, func(svc *fabric.Service) slo.Edition {
@@ -140,7 +137,7 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	cluster.Subscribe(func(ev fabric.Event) {
 		switch ev.Kind {
 		case fabric.EventFailover, fabric.EventBalanceMove:
-			if mgr, ok := o.managers[ev.From]; ok {
+			if mgr := o.Manager(ev.From); mgr != nil {
 				svc := ev.Service
 				if ev.Replica.Index >= 0 && ev.Replica.Index < len(svc.Replicas) {
 					mgr.Evict(ev.Replica, svc.Replicas[ev.Replica.Index].Incarnation-1)
@@ -158,17 +155,41 @@ func NewOrchestrator(s *Scenario) (*Orchestrator, error) {
 	return o, nil
 }
 
-// Manager returns the RgManager of one node (for tests and tools).
-func (o *Orchestrator) Manager(nodeID string) *rgmanager.Manager { return o.managers[nodeID] }
+// dbRecord is what the orchestrator keeps per registered database, so a
+// report sweep finds all of it with one lookup by name.
+type dbRecord struct {
+	info rgmanager.DBInfo
+	// diskGBSeconds integrates the primary's disk usage over time,
+	// feeding the storage-revenue term.
+	diskGBSeconds float64
+}
+
+// Manager returns the RgManager of the node named nodeID, or nil.
+func (o *Orchestrator) Manager(nodeID string) *rgmanager.Manager {
+	for _, n := range o.Cluster.Nodes() {
+		if n.ID == nodeID {
+			return o.managers[n.Index()]
+		}
+	}
+	return nil
+}
 
 // DBInfo returns the registered metadata for a database.
 func (o *Orchestrator) DBInfo(db string) (rgmanager.DBInfo, bool) {
-	info, ok := o.dbinfo[db]
-	return info, ok
+	rec, ok := o.dbs[db]
+	if !ok {
+		return rgmanager.DBInfo{}, false
+	}
+	return rec.info, true
 }
 
 // DiskGBSeconds returns the integral of a database's disk usage (GB·s).
-func (o *Orchestrator) DiskGBSeconds(db string) float64 { return o.diskGBSeconds[db] }
+func (o *Orchestrator) DiskGBSeconds(db string) float64 {
+	if rec, ok := o.dbs[db]; ok {
+		return rec.diskGBSeconds
+	}
+	return 0
+}
 
 // RegisterDatabase records the metadata the RgManagers need to evaluate
 // models for a database created outside the Population Manager (tools
@@ -177,13 +198,13 @@ func (o *Orchestrator) RegisterDatabase(svc *fabric.Service, sl slo.SLO) { o.reg
 
 // registerDB records the metadata the RgManagers need for a database.
 func (o *Orchestrator) registerDB(svc *fabric.Service, sl slo.SLO) {
-	o.dbinfo[svc.Name] = rgmanager.DBInfo{
+	o.dbs[svc.Name] = &dbRecord{info: rgmanager.DBInfo{
 		Name:        svc.Name,
 		Edition:     sl.Edition,
 		Created:     svc.Created,
 		MaxDiskGB:   sl.MaxDiskGB,
 		MaxMemoryGB: sl.MemoryGB,
-	}
+	}}
 }
 
 // seedInitialLoad reports an initial disk load for every replica of a new
@@ -196,7 +217,7 @@ func (o *Orchestrator) seedInitialLoad(svc *fabric.Service, sl slo.SLO, diskGB f
 	if diskGB > sl.MaxDiskGB {
 		diskGB = sl.MaxDiskGB
 	}
-	info := o.dbinfo[svc.Name]
+	info, _ := o.DBInfo(svc.Name)
 	for _, rep := range svc.Replicas {
 		if rep.Node == nil {
 			continue
@@ -204,16 +225,14 @@ func (o *Orchestrator) seedInitialLoad(svc *fabric.Service, sl slo.SLO, diskGB f
 		if err := o.Cluster.ReportLoad(rep.ID, fabric.MetricDiskGB, diskGB); err != nil {
 			continue
 		}
-		if mgr, ok := o.managers[rep.Node.ID]; ok {
-			mgr.SeedLoad(rep, info, fabric.MetricDiskGB, diskGB)
-		}
+		o.managers[rep.Node.Index()].SeedLoad(rep, info, fabric.MetricDiskGB, diskGB)
 	}
 }
 
 // WriteModels serializes set into the Naming Service and immediately
-// refreshes every manager (production managers would pick it up within 15
-// minutes; the immediate refresh models the experiment operator waiting
-// for propagation before proceeding).
+// refreshes every manager, in node order (production managers would pick
+// it up within 15 minutes; the immediate refresh models the experiment
+// operator waiting for propagation before proceeding).
 func (o *Orchestrator) WriteModels(set *models.ModelSet) error {
 	data, err := set.EncodeXML()
 	if err != nil {
@@ -335,10 +354,11 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 	// EachLiveService keeps this 20-minute sweep allocation-free; reports
 	// move replicas but never drop services, so the iteration is safe.
 	o.Cluster.EachLiveService(func(svc *fabric.Service) {
-		info, ok := o.dbinfo[svc.Name]
+		rec, ok := o.dbs[svc.Name]
 		if !ok {
 			return
 		}
+		info := rec.info
 		var members []rgmanager.DBInfo
 		if pools.IsPoolService(svc) {
 			members = o.poolMemberInfos(svc.Name)
@@ -357,10 +377,7 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 			if rep == nil || rep.Node == nil {
 				continue
 			}
-			mgr := o.managers[rep.Node.ID]
-			if mgr == nil {
-				continue
-			}
+			mgr := o.managers[rep.Node.Index()]
 			var value float64
 			var modeled bool
 			if members != nil {
@@ -380,7 +397,7 @@ func (o *Orchestrator) reportDisk(now time.Time) {
 			}
 		}
 		if dt > 0 {
-			o.diskGBSeconds[svc.Name] += primaryLoad * dt
+			rec.diskGBSeconds += primaryLoad * dt
 		}
 	})
 	sp.End(obs.Int("reports", reports))
@@ -391,18 +408,16 @@ func (o *Orchestrator) reportMemory(now time.Time) {
 	sp := o.obs.Span("core.report_memory")
 	reports := 0
 	o.Cluster.EachLiveService(func(svc *fabric.Service) {
-		info, ok := o.dbinfo[svc.Name]
+		rec, ok := o.dbs[svc.Name]
 		if !ok {
 			return
 		}
+		info := rec.info
 		for _, rep := range svc.Replicas {
 			if rep.Node == nil {
 				continue
 			}
-			mgr := o.managers[rep.Node.ID]
-			if mgr == nil {
-				continue
-			}
+			mgr := o.managers[rep.Node.Index()]
 			if value, modeled := mgr.ReportMemory(rep, info, now); modeled {
 				_ = o.Cluster.ReportLoad(rep.ID, fabric.MetricMemoryGB, value)
 				reports++
@@ -488,7 +503,7 @@ func (o *Orchestrator) poolMemberInfos(pool string) []rgmanager.DBInfo {
 		return []rgmanager.DBInfo{}
 	}
 	edition := slo.StandardGP
-	if info, ok := o.dbinfo[pool]; ok {
+	if info, ok := o.DBInfo(pool); ok {
 		edition = info.Edition
 	}
 	members := p.Members()
@@ -525,7 +540,7 @@ func (o *Orchestrator) AddPoolMember(pool, db string, maxDiskGB, initialDiskGB f
 	if !ok || !svc.Alive() {
 		return fmt.Errorf("core: pool service %s missing", pool)
 	}
-	poolInfo := o.dbinfo[pool]
+	poolInfo, _ := o.DBInfo(pool)
 	member := rgmanager.DBInfo{Name: db, Edition: poolInfo.Edition, Created: o.Clock.Now(), MaxDiskGB: maxDiskGB}
 	if initialDiskGB > maxDiskGB && maxDiskGB > 0 {
 		initialDiskGB = maxDiskGB
@@ -534,9 +549,7 @@ func (o *Orchestrator) AddPoolMember(pool, db string, maxDiskGB, initialDiskGB f
 		if rep.Node == nil {
 			continue
 		}
-		if mgr, ok := o.managers[rep.Node.ID]; ok {
-			mgr.SeedMemberLoad(rep, poolInfo, member, initialDiskGB)
-		}
+		o.managers[rep.Node.Index()].SeedMemberLoad(rep, poolInfo, member, initialDiskGB)
 	}
 	return nil
 }
@@ -558,10 +571,10 @@ func (o *Orchestrator) ScaleDatabase(db, newSLOName string) (fabric.ResizeOutcom
 	if err != nil {
 		return outcome, err
 	}
-	info := o.dbinfo[db]
-	info.MaxDiskGB = next.MaxDiskGB
-	info.MaxMemoryGB = next.MemoryGB
-	o.dbinfo[db] = info
+	if rec, ok := o.dbs[db]; ok {
+		rec.info.MaxDiskGB = next.MaxDiskGB
+		rec.info.MaxMemoryGB = next.MemoryGB
+	}
 	return outcome, nil
 }
 

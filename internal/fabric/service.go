@@ -393,6 +393,10 @@ func newNode(id string, idx int, capacity LoadVector) *Node {
 	}
 }
 
+// Index returns the node's position in Cluster.Nodes, a dense ordinal
+// callers can key per-node tables by.
+func (n *Node) Index() int { return n.idx }
+
 // Load returns the node's aggregate reported load for metric m.
 func (n *Node) Load(m MetricName) float64 {
 	if !m.Valid() {

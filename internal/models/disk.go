@@ -148,8 +148,9 @@ type DiskUsageModel struct {
 
 // EvalContext carries everything a stateless model evaluation needs.
 type EvalContext struct {
-	// DB is the database name; it seeds per-database randomness.
-	DB string
+	// Key is the database's hash key under the evaluating seed; it seeds
+	// per-database randomness.
+	Key DBKey
 	// Created is the database's creation time.
 	Created time.Time
 	// Now is the evaluation time.
@@ -158,9 +159,6 @@ type EvalContext struct {
 	Prev float64
 	// MaxGB caps the value at the SLO's maximum allowable disk.
 	MaxGB float64
-	// Seed is the model seed from the XML (§5.2: seeds are specified
-	// through the XML and fixed per experiment).
-	Seed uint64
 }
 
 // FNV-1a 64-bit parameters (hash/fnv's New64a), applied inline so the
@@ -178,14 +176,25 @@ func fnvAdd[B []byte | string](h uint64, b B) uint64 {
 	return h
 }
 
-// dbPrefixHash returns the FNV-1a state after hashing "<seed>/<db>/",
-// the key prefix every per-database stream and subset hash shares.
-func dbPrefixHash(seed uint64, db string) uint64 {
+// SeedKey is the FNV-1a state after hashing "<seed>/", the part of every
+// per-database stream and subset key that depends only on the model seed
+// (§5.2: seeds are specified through the XML and fixed per experiment).
+// Build it once per seed; the seed's decimal form is not hashed again.
+type SeedKey uint64
+
+// NewSeedKey returns the key prefix of seed.
+func NewSeedKey(seed uint64) SeedKey {
 	var num [20]byte
-	h := fnvAdd(fnvOffset64, strconv.AppendUint(num[:0], seed, 10))
-	h = fnvAdd(h, "/")
-	h = fnvAdd(h, db)
-	return fnvAdd(h, "/")
+	return SeedKey(fnvAdd(fnvAdd(fnvOffset64, strconv.AppendUint(num[:0], seed, 10)), "/"))
+}
+
+// DBKey is the FNV-1a state after hashing "<seed>/<db>/", the key prefix
+// every stream and subset test of one database shares.
+type DBKey uint64
+
+// DB returns the key of database name under this seed.
+func (k SeedKey) DB(name string) DBKey {
+	return DBKey(fnvAdd(fnvAdd(uint64(k), name), "/"))
 }
 
 // dbStream derives the deterministic random stream for one database at
@@ -193,31 +202,31 @@ func dbPrefixHash(seed uint64, db string) uint64 {
 // "<seed>/<db>/<bucket>". The stream depends only on (seed, db, bucket),
 // so replays and cross-node evaluations agree. It runs once per load
 // report, so it hashes in place and returns the stream by value.
-func dbStream(seed uint64, db string, bucket int64) rng.Source {
+func dbStream(key DBKey, bucket int64) rng.Source {
 	var num [20]byte
-	return rng.Seeded(fnvAdd(dbPrefixHash(seed, db), strconv.AppendInt(num[:0], bucket, 10)))
+	return rng.Seeded(fnvAdd(uint64(key), strconv.AppendInt(num[:0], bucket, 10)))
 }
 
 // dbHash01 maps (seed, db, salt) to a uniform value in [0,1) used for
 // stable subset selection (does this database exhibit high initial
 // growth? rapid growth?), from the FNV-1a hash of "<seed>/<db>/<salt>".
-func dbHash01(seed uint64, db, salt string) float64 {
-	h := fnvAdd(dbPrefixHash(seed, db), salt)
+func dbHash01(key DBKey, salt string) float64 {
+	h := fnvAdd(uint64(key), salt)
 	return float64(h>>11) / (1 << 53)
 }
 
-// HasInitialGrowth reports whether database db belongs to the
-// high-initial-growth subset under this model.
-func (m *DiskUsageModel) HasInitialGrowth(seed uint64, db string) bool {
+// HasInitialGrowth reports whether the database keyed by key belongs to
+// the high-initial-growth subset under this model.
+func (m *DiskUsageModel) HasInitialGrowth(key DBKey) bool {
 	return m.Initial != nil && m.Initial.Probability > 0 &&
-		dbHash01(seed, db, "initial") < m.Initial.Probability
+		dbHash01(key, "initial") < m.Initial.Probability
 }
 
-// HasRapidGrowth reports whether database db follows the rapid-growth
-// state machine under this model.
-func (m *DiskUsageModel) HasRapidGrowth(seed uint64, db string) bool {
+// HasRapidGrowth reports whether the database keyed by key follows the
+// rapid-growth state machine under this model.
+func (m *DiskUsageModel) HasRapidGrowth(key DBKey) bool {
 	return m.Rapid != nil && m.Rapid.Probability > 0 &&
-		dbHash01(seed, db, "rapid") < m.Rapid.Probability
+		dbHash01(key, "rapid") < m.Rapid.Probability
 }
 
 // Next computes the value to report for this interval: the previous value
@@ -231,16 +240,16 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	if ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := dbStream(ctx.Seed, ctx.DB, bucket)
+	src := dbStream(ctx.Key, bucket)
 
 	delta := m.Steady.Sample(&src, ctx.Now)
 
 	// Initial creation growth: total bin-sampled growth spread uniformly
 	// over the reports inside the initial window.
-	if m.HasInitialGrowth(ctx.Seed, ctx.DB) {
+	if m.HasInitialGrowth(ctx.Key) {
 		elapsed := ctx.Now.Sub(ctx.Created)
 		if elapsed >= 0 && elapsed < m.Initial.Duration {
-			initial := dbStream(ctx.Seed, ctx.DB, -1)
+			initial := dbStream(ctx.Key, -1)
 			total := SampleBins(&initial, m.Initial.Bins)
 			reports := float64(m.Initial.Duration / m.ReportInterval)
 			if reports < 1 {
@@ -253,10 +262,10 @@ func (m *DiskUsageModel) Next(ctx EvalContext) float64 {
 	// Predictable rapid growth: spike/drop magnitudes are sampled once
 	// per cycle (stream keyed by cycle index) and spread uniformly over
 	// the phase's reports; the drop returns what the spike added.
-	if m.HasRapidGrowth(ctx.Seed, ctx.DB) {
+	if m.HasRapidGrowth(ctx.Key) {
 		state, _ := m.Rapid.StateAt(ctx.Created, ctx.Now)
 		cycle := m.Rapid.cycleIndex(ctx.Created, ctx.Now)
-		spike := dbStream(ctx.Seed, ctx.DB, -1000-cycle)
+		spike := dbStream(ctx.Key, -1000-cycle)
 		magnitude := SampleBins(&spike, m.Rapid.IncreaseBins)
 		switch state {
 		case StateRapidIncrease:
@@ -320,7 +329,7 @@ func (m *MemoryModel) next(ctx EvalContext, secondary bool) float64 {
 	if m.ReportInterval > 0 && ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := dbStream(ctx.Seed, ctx.DB, bucket+1_000_000)
+	src := dbStream(ctx.Key, bucket+1_000_000)
 	target := m.Target.Sample(&src, ctx.Now)
 	if secondary && m.SecondaryFactor > 0 {
 		target *= m.SecondaryFactor
@@ -361,9 +370,10 @@ type CPUModel struct {
 	ReportInterval time.Duration
 }
 
-// IsIdle reports whether db belongs to the stable idle subpopulation.
-func (m *CPUModel) IsIdle(seed uint64, db string) bool {
-	return m.IdleFraction > 0 && dbHash01(seed, db, "cpu-idle") < m.IdleFraction
+// IsIdle reports whether the database keyed by key belongs to the stable
+// idle subpopulation.
+func (m *CPUModel) IsIdle(key DBKey) bool {
+	return m.IdleFraction > 0 && dbHash01(key, "cpu-idle") < m.IdleFraction
 }
 
 // Next computes the cores a primary replica currently consumes, given
@@ -374,14 +384,14 @@ func (m *CPUModel) Next(ctx EvalContext) float64 { return m.next(ctx, false) }
 func (m *CPUModel) NextSecondary(ctx EvalContext) float64 { return m.next(ctx, true) }
 
 func (m *CPUModel) next(ctx EvalContext, secondary bool) float64 {
-	if m.IsIdle(ctx.Seed, ctx.DB) {
+	if m.IsIdle(ctx.Key) {
 		return 0
 	}
 	bucket := int64(0)
 	if m.ReportInterval > 0 && ctx.Now.After(ctx.Created) {
 		bucket = int64(ctx.Now.Sub(ctx.Created) / m.ReportInterval)
 	}
-	src := dbStream(ctx.Seed, ctx.DB, bucket+2_000_000)
+	src := dbStream(ctx.Key, bucket+2_000_000)
 	frac := m.TargetFraction.Sample(&src, ctx.Now)
 	if frac < 0 {
 		frac = 0

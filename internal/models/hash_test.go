@@ -11,7 +11,7 @@ import (
 )
 
 // refDBStream and refDBHash01 are the original fmt + hash/fnv
-// implementations of dbStream and dbHash01. The inline FNV-1a versions
+// implementations of dbStream and dbHash01. The keyed FNV-1a versions
 // must reproduce them bit for bit: every golden and fingerprint depends
 // on these streams.
 func refDBStream(seed uint64, db string, bucket int64) *rng.Source {
@@ -26,14 +26,16 @@ func refDBHash01(seed uint64, db, salt string) float64 {
 	return float64(h.Sum64()>>11) / (1 << 53)
 }
 
-// checkDBHash compares both hashes against the references for one key,
-// including the first draws of the derived stream.
+// checkDBHash compares both hashes, driven through NewSeedKey and
+// SeedKey.DB, against the references for one key, including the first
+// draws of the derived stream.
 func checkDBHash(t *testing.T, seed uint64, db string, bucket int64, salt string) {
 	t.Helper()
-	if got, want := dbHash01(seed, db, salt), refDBHash01(seed, db, salt); got != want {
+	key := NewSeedKey(seed).DB(db)
+	if got, want := dbHash01(key, salt), refDBHash01(seed, db, salt); got != want {
 		t.Fatalf("dbHash01(%d, %q, %q) = %v, reference %v", seed, db, salt, got, want)
 	}
-	got, want := dbStream(seed, db, bucket), refDBStream(seed, db, bucket)
+	got, want := dbStream(key, bucket), refDBStream(seed, db, bucket)
 	for i := 0; i < 3; i++ {
 		if g, w := got.Uint64(), want.Uint64(); g != w {
 			t.Fatalf("dbStream(%d, %q, %d) draw %d = %#x, reference %#x", seed, db, bucket, i, g, w)
@@ -74,8 +76,8 @@ func TestModelNextAllocationFree(t *testing.T) {
 		Probability: 1, SteadyDur: 0, IncreaseDur: time.Hour, SteadyBetweenDur: time.Hour, DecreaseDur: time.Hour,
 		IncreaseBins: []GrowthBin{{LoGB: 50, HiGB: 90}},
 	}
-	ctx := EvalContext{DB: "db-bc-000123", Created: monday, Now: monday.Add(20 * time.Minute), Prev: 100, MaxGB: 1000, Seed: 7}
-	if !disk.HasInitialGrowth(ctx.Seed, ctx.DB) || !disk.HasRapidGrowth(ctx.Seed, ctx.DB) {
+	ctx := EvalContext{Key: NewSeedKey(7).DB("db-bc-000123"), Created: monday, Now: monday.Add(20 * time.Minute), Prev: 100, MaxGB: 1000}
+	if !disk.HasInitialGrowth(ctx.Key) || !disk.HasRapidGrowth(ctx.Key) {
 		t.Fatal("test database is not in both growth subsets")
 	}
 	if state, _ := disk.Rapid.StateAt(ctx.Created, ctx.Now); state != StateRapidIncrease {

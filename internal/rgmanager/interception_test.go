@@ -217,7 +217,7 @@ func TestFailoverContinuationProperty(t *testing.T) {
 		now2 := now.Add(20 * time.Minute)
 		v2, _ := e.managerOf(promoted).ReportDisk(promoted, info, now2)
 		want := set.Disk[info.Edition].Next(models.EvalContext{
-			DB: bcName, Created: created, Now: now2, Prev: v1, MaxGB: info.MaxDiskGB, Seed: set.Seed,
+			Key: models.NewSeedKey(set.Seed).DB(bcName), Created: created, Now: now2, Prev: v1, MaxGB: info.MaxDiskGB,
 		})
 		if v2 != want {
 			t.Errorf("trial %d: BC after failover = %v, want continuation %v", trial, v2, want)
@@ -236,10 +236,9 @@ func TestFailoverContinuationProperty(t *testing.T) {
 		if err := e.cluster.ForceMove(rep.ID, moveTarget(t, e, gp).ID); err != nil {
 			t.Fatal(err)
 		}
-		mgr := e.managerOf(rep)
-		g2, _ := mgr.ReportDisk(rep, ginfo, now2)
+		g2, _ := e.managerOf(rep).ReportDisk(rep, ginfo, now2)
 		gwant := set.Disk[ginfo.Edition].Next(models.EvalContext{
-			DB: gpName, Created: created, Now: now2, Prev: 0, MaxGB: ginfo.MaxDiskGB, Seed: mgr.nodeSeed,
+			Key: models.NewSeedKey(nodeSeed(rep.Node)).DB(gpName), Created: created, Now: now2, Prev: 0, MaxGB: ginfo.MaxDiskGB,
 		})
 		if g2 != gwant {
 			t.Errorf("trial %d: GP after failover = %v, want cold start %v", trial, g2, gwant)

@@ -62,9 +62,12 @@ type loadKey struct {
 
 // Manager is the RgManager instance of one node.
 type Manager struct {
-	nodeID   string
-	naming   *fabric.NamingService
-	nodeSeed uint64
+	nodeID string
+	naming *fabric.NamingService
+	// nodeKey hashes this node's seed and setKey the loaded model set's
+	// seed, each once; a report then hashes only its database name.
+	nodeKey models.SeedKey
+	setKey  models.SeedKey
 
 	set     *models.ModelSet
 	version int64
@@ -91,11 +94,11 @@ type Manager struct {
 // continues the same sequence.
 func New(nodeID string, naming *fabric.NamingService, decoded *models.SetCache, nodeSeed uint64) *Manager {
 	return &Manager{
-		nodeID:   nodeID,
-		naming:   naming,
-		decoded:  decoded,
-		nodeSeed: nodeSeed,
-		mem:      make(map[loadKey]float64),
+		nodeID:  nodeID,
+		naming:  naming,
+		decoded: decoded,
+		nodeKey: models.NewSeedKey(nodeSeed),
+		mem:     make(map[loadKey]float64),
 	}
 }
 
@@ -134,6 +137,7 @@ func (m *Manager) Refresh() error {
 		return fmt.Errorf("rgmanager %s: %w", m.nodeID, err)
 	}
 	m.set = set
+	m.setKey = models.NewSeedKey(set.Seed)
 	m.version = version
 	return nil
 }
@@ -225,12 +229,11 @@ func (m *Manager) ReportDisk(rep *fabric.Replica, info DBInfo, now time.Time) (v
 			return prev, true
 		}
 		next := dm.Next(models.EvalContext{
-			DB:      info.Name,
+			Key:     m.setKey.DB(info.Name),
 			Created: info.Created,
 			Now:     now,
 			Prev:    prev,
 			MaxGB:   info.MaxDiskGB,
-			Seed:    m.set.Seed,
 		})
 		m.persistLoad(info.Name, next)
 		return next, true
@@ -242,12 +245,11 @@ func (m *Manager) ReportDisk(rep *fabric.Replica, info DBInfo, now time.Time) (v
 		return prev, true
 	}
 	next := dm.Next(models.EvalContext{
-		DB:      info.Name,
+		Key:     m.nodeKey.DB(info.Name),
 		Created: info.Created,
 		Now:     now,
 		Prev:    prev,
 		MaxGB:   info.MaxDiskGB,
-		Seed:    m.nodeSeed,
 	})
 	m.mem[key] = next
 	return next, true
@@ -283,12 +285,11 @@ func (m *Manager) ReportPoolDisk(rep *fabric.Replica, pool DBInfo, members []DBI
 				continue
 			}
 			next := dm.Next(models.EvalContext{
-				DB:      member.Name,
+				Key:     m.setKey.DB(member.Name),
 				Created: member.Created,
 				Now:     now,
 				Prev:    prev,
 				MaxGB:   member.MaxDiskGB,
-				Seed:    m.set.Seed,
 			})
 			m.persistLoad(member.Name, next)
 			total += next
@@ -301,12 +302,11 @@ func (m *Manager) ReportPoolDisk(rep *fabric.Replica, pool DBInfo, members []DBI
 			continue
 		}
 		next := dm.Next(models.EvalContext{
-			DB:      member.Name,
+			Key:     m.nodeKey.DB(member.Name),
 			Created: member.Created,
 			Now:     now,
 			Prev:    prev,
 			MaxGB:   member.MaxDiskGB,
-			Seed:    m.nodeSeed,
 		})
 		m.mem[key] = next
 		total += next
@@ -350,12 +350,11 @@ func (m *Manager) ReportMemory(rep *fabric.Replica, info DBInfo, now time.Time) 
 		return prev, true
 	}
 	ctx := models.EvalContext{
-		DB:      info.Name,
+		Key:     m.nodeKey.DB(info.Name),
 		Created: info.Created,
 		Now:     now,
 		Prev:    prev,
 		MaxGB:   info.MaxMemoryGB,
-		Seed:    m.nodeSeed,
 	}
 	var next float64
 	if rep.Role == fabric.Secondary {
@@ -385,11 +384,10 @@ func (m *Manager) ReportCPU(rep *fabric.Replica, info DBInfo, reservedCores floa
 		return 0, true
 	}
 	ctx := models.EvalContext{
-		DB:      info.Name,
+		Key:     m.nodeKey.DB(info.Name),
 		Created: info.Created,
 		Now:     now,
 		MaxGB:   reservedCores, // the model's core cap
-		Seed:    m.nodeSeed,
 	}
 	if rep.Role == fabric.Secondary {
 		return cm.NextSecondary(ctx), true

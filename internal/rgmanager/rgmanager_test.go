@@ -62,8 +62,8 @@ func newEnv(t *testing.T, set *models.ModelSet) *env {
 		fabric.MetricMemoryGB: 512,
 	}, cfg)
 	e := &env{cluster: cluster, managers: make(map[string]*Manager), decoded: &models.SetCache{}}
-	for i, n := range cluster.Nodes() {
-		e.managers[n.ID] = New(n.ID, cluster.Naming(), e.decoded, uint64(1000+i))
+	for _, n := range cluster.Nodes() {
+		e.managers[n.ID] = New(n.ID, cluster.Naming(), e.decoded, nodeSeed(n))
 	}
 	if set != nil {
 		data, err := set.EncodeXML()
@@ -81,6 +81,9 @@ func newEnv(t *testing.T, set *models.ModelSet) *env {
 }
 
 func (e *env) managerOf(r *fabric.Replica) *Manager { return e.managers[r.Node.ID] }
+
+// nodeSeed is the unique seed newEnv gives node n's Manager.
+func nodeSeed(n *fabric.Node) uint64 { return uint64(1000 + n.Index()) }
 
 func bcInfo(name string, created time.Time) DBInfo {
 	return DBInfo{Name: name, Edition: slo.PremiumBC, Created: created, MaxDiskGB: 2048, MaxMemoryGB: 20}
@@ -125,6 +128,81 @@ func TestRefreshVersionShortCircuit(t *testing.T) {
 	m.Refresh()
 	if m.Models() != nil {
 		t.Error("deleted key did not clear models")
+	}
+}
+
+// TestRefreshRekeysOnSeedChange checks that the seed key a Manager
+// caches follows the model set: a Manager refreshed from a set at one
+// seed to the same models at another reports exactly what a fresh
+// Manager at the second seed reports, for every metric it models.
+func TestRefreshRekeysOnSeedChange(t *testing.T) {
+	withSeed := func(seed uint64) *models.ModelSet {
+		set := testModelSet()
+		set.Seed = seed
+		set.CPU[slo.StandardGP] = &models.CPUModel{TargetFraction: flatHourly(0.5, 0.2), ReportInterval: 20 * time.Minute}
+		return set
+	}
+	t1 := start.Add(40 * time.Minute)
+	t2 := start.Add(2 * time.Hour)
+	// report primes the same previous values on e's two probe databases
+	// and returns their persisted disk, non-persisted disk, memory and
+	// CPU reports at t2, plus the nodes they ran on.
+	report := func(e *env) (got [4]float64, nodes [2]string) {
+		bc, _ := e.cluster.Service("bc")
+		gp, _ := e.cluster.Service("gp")
+		p, r := bc.Primary(), gp.Replicas[0]
+		bci, gpi := bcInfo("bc", start), gpInfo("gp", start)
+		e.managerOf(p).SeedLoad(p, bci, fabric.MetricDiskGB, 500)
+		e.managerOf(r).SeedLoad(r, gpi, fabric.MetricDiskGB, 30)
+		e.managerOf(r).SeedLoad(r, gpi, fabric.MetricMemoryGB, 4)
+		got[0], _ = e.managerOf(p).ReportDisk(p, bci, t2)
+		got[1], _ = e.managerOf(r).ReportDisk(r, gpi, t2)
+		got[2], _ = e.managerOf(r).ReportMemory(r, gpi, t2)
+		got[3], _ = e.managerOf(r).ReportCPU(r, gpi, 4, t2)
+		return got, [2]string{p.Node.ID, r.Node.ID}
+	}
+	fresh := func(seed uint64) *env {
+		e := newEnv(t, withSeed(seed))
+		if _, err := e.cluster.CreateService("bc", 4, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.cluster.CreateService("gp", 1, 4, nil); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	rekeyed := fresh(7)
+	bc, _ := rekeyed.cluster.Service("bc")
+	gp, _ := rekeyed.cluster.Service("gp")
+	p, r := bc.Primary(), gp.Replicas[0]
+	rekeyed.managerOf(p).ReportDisk(p, bcInfo("bc", start), t1)
+	rekeyed.managerOf(r).ReportDisk(r, gpInfo("gp", start), t1)
+	rekeyed.managerOf(r).ReportMemory(r, gpInfo("gp", start), t1)
+	rekeyed.managerOf(r).ReportCPU(r, gpInfo("gp", start), 4, t1)
+	data, err := withSeed(8).EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekeyed.cluster.Naming().Put(models.NamingKey, data)
+	for _, m := range rekeyed.managers {
+		if err := m.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, gotNodes := report(rekeyed)
+	want, wantNodes := report(fresh(8))
+	if gotNodes != wantNodes {
+		t.Fatalf("probe replicas on %v, fresh deployment placed them on %v", gotNodes, wantNodes)
+	}
+	for i, name := range []string{"persisted disk", "non-persisted disk", "memory", "CPU"} {
+		if got[i] != want[i] {
+			t.Errorf("%s after the seed change = %v, fresh Manager at the new seed reports %v", name, got[i], want[i])
+		}
+	}
+	if old, _ := report(fresh(7)); old[0] == want[0] {
+		t.Fatalf("persisted disk is %v at both seeds; the check cannot see a stale key", old[0])
 	}
 }
 
