@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -80,7 +81,7 @@ func main() {
 	sp.End(obs.Int("disk_traces", len(tm.DiskTraces)))
 
 	if *validate {
-		report(tm, *seed)
+		report(os.Stderr, tm, *seed)
 	}
 
 	data, err := tm.Set.EncodeXML()
@@ -100,9 +101,8 @@ func main() {
 	finish()
 }
 
-// report prints the training diagnostics the paper's §4 walks through.
-func report(tm *core.TrainedModels, seed uint64) {
-	w := os.Stderr
+// report writes the training diagnostics the paper's §4 walks through.
+func report(w io.Writer, tm *core.TrainedModels, seed uint64) {
 	fmt.Fprintf(w, "=== Toto model training report (seed %d) ===\n\n", seed)
 
 	fmt.Fprintf(w, "Training data: %d-day region trace (%d rings), %d disk traces over %d days\n\n",
