@@ -16,6 +16,9 @@ package trace
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"toto/internal/rng"
@@ -79,12 +82,19 @@ type Region struct {
 	Drops   map[slo.Edition][]HourCount
 }
 
-// diurnal returns the within-day activity shape in (0, 1]: a business-
-// hours bump peaking at 13:00 on a 0.35 baseline.
-func diurnal(hour int) float64 {
-	d := float64(hour) - 13
-	return 0.35 + 0.65*math.Exp(-d*d/(2*16))
-}
+// diurnalByHour is the within-day activity shape in (0, 1]: a business-
+// hours bump peaking at 13:00 on a 0.35 baseline. It has only 24
+// inputs, so it is tabulated once from the closed form.
+var diurnalByHour = func() (shape [24]float64) {
+	for hour := range shape {
+		d := float64(hour) - 13
+		shape[hour] = 0.35 + 0.65*math.Exp(-d*d/(2*16))
+	}
+	return shape
+}()
+
+// diurnal returns the within-day activity shape at an hour in [0, 24).
+func diurnal(hour int) float64 { return diurnalByHour[hour] }
 
 // DiurnalShape exposes the within-day activity shape in (0, 1] so other
 // load generators (the request-level traffic plane) share the same curve
@@ -272,112 +282,187 @@ type DBTrace struct {
 	Class GrowthClass
 }
 
-// Deltas returns the per-interval usage differences, optionally
-// re-discretized to a coarser period (which must be a multiple of the
-// trace interval). This reproduces the paper's 20-minute Delta Disk
-// Usage from finer samples.
-func (t *DBTrace) Deltas(period time.Duration) []float64 {
+// AppendDeltas appends the per-interval usage differences to dst and
+// returns the extended slice, optionally re-discretized to a coarser
+// period (which must be a multiple of the trace interval). This
+// reproduces the paper's 20-minute Delta Disk Usage from finer samples;
+// passing the previous result[:0] reuses its storage.
+func (t *DBTrace) AppendDeltas(dst []float64, period time.Duration) []float64 {
 	step := 1
 	if period > t.Interval {
 		step = int(period / t.Interval)
 	}
-	var out []float64
 	for i := step; i < len(t.UsageGB); i += step {
-		out = append(out, t.UsageGB[i]-t.UsageGB[i-step])
+		dst = append(dst, t.UsageGB[i]-t.UsageGB[i-step])
 	}
+	return dst
+}
+
+// GenerateDiskTraces samples per-database disk traces, ordered by
+// edition (slo.Editions order) and then by index within the edition.
+//
+// Each database draws only from its own stream, split from the root by
+// its name, so the databases are generated concurrently on
+// runtime.GOMAXPROCS(0) goroutines, each writing its fixed slot: the
+// output does not depend on the number of goroutines.
+//
+// It panics when Days is not positive or Interval does not divide an
+// hour: the steady growth per sample is the hourly rate divided by the
+// whole number of samples per hour.
+func GenerateDiskTraces(cfg DiskTraceConfig) []DBTrace {
+	if cfg.Days <= 0 {
+		panic("trace: non-positive trace length")
+	}
+	if cfg.Interval <= 0 || time.Hour%cfg.Interval != 0 {
+		panic(fmt.Sprintf("trace: disk trace interval %v must be positive and divide an hour", cfg.Interval))
+	}
+	root := rng.New(cfg.Seed)
+	gens := make([]diskTraceGen, 0, len(slo.Editions()))
+	total := 0
+	for _, e := range slo.Editions() {
+		g := newDiskTraceGen(cfg, e)
+		g.first = total
+		total += g.n
+		gens = append(gens, g)
+	}
+
+	out := make([]DBTrace, total)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), total)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				slot := int(next.Add(1)) - 1
+				if slot >= total {
+					return
+				}
+				g := &gens[0]
+				for k := 1; k < len(gens) && slot >= gens[k].first; k++ {
+					g = &gens[k]
+				}
+				out[slot] = g.generate(root, slot-g.first)
+			}
+		}()
+	}
+	wg.Wait()
 	return out
 }
 
-// GenerateDiskTraces samples per-database disk traces.
-func GenerateDiskTraces(cfg DiskTraceConfig) []DBTrace {
-	if cfg.Interval <= 0 {
-		panic("trace: non-positive interval")
+// hourAt returns the hour of day of Epoch + sinceEpoch for a non-negative
+// offset. Epoch is midnight UTC, where every day has 24 hours, so this is
+// Epoch.Add(sinceEpoch).Hour() without building a time.Time.
+func hourAt(sinceEpoch time.Duration) int {
+	return int(sinceEpoch/time.Hour) % 24
+}
+
+// diskTraceGen holds one edition's per-sample parameters, read from the
+// config maps once rather than per sample.
+type diskTraceGen struct {
+	cfg     DiskTraceConfig
+	edition slo.Edition
+	// n is the edition's database count and first its slot in the
+	// output.
+	n, first int
+	samples  int
+	perHour  float64
+	// meanPerSample[h] is the steady mean growth of one sample in hour h.
+	meanPerSample [24]float64
+	noise         float64
+}
+
+func newDiskTraceGen(cfg DiskTraceConfig, e slo.Edition) diskTraceGen {
+	g := diskTraceGen{
+		cfg:     cfg,
+		edition: e,
+		n:       cfg.Databases[e],
+		samples: int(time.Duration(cfg.Days) * 24 * time.Hour / cfg.Interval),
+		perHour: float64(time.Hour / cfg.Interval),
+		noise:   cfg.SteadyNoiseGB[e],
 	}
-	root := rng.New(cfg.Seed)
-	samples := int(time.Duration(cfg.Days) * 24 * time.Hour / cfg.Interval)
-	perHour := float64(time.Hour / cfg.Interval)
+	mean := cfg.SteadyMeanGBPerHour[e]
+	for h := range g.meanPerSample {
+		g.meanPerSample[h] = mean * diurnal(h) / g.perHour
+	}
+	return g
+}
 
-	var out []DBTrace
-	for _, e := range slo.Editions() {
-		n := cfg.Databases[e]
-		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("trace-%s-%04d", e.String(), i)
-			src := root.Split(name)
+// generate samples the edition's database number i.
+func (g *diskTraceGen) generate(root *rng.Source, i int) DBTrace {
+	cfg := &g.cfg
+	name := fmt.Sprintf("trace-%s-%04d", g.edition.String(), i)
+	src := root.Split(name)
 
-			class := ClassSteady
-			switch {
-			case src.Bernoulli(cfg.InitialGrowthFrac):
-				class = ClassInitialGrowth
-			case src.Bernoulli(cfg.RapidGrowthFrac / (1 - cfg.InitialGrowthFrac)):
-				class = ClassRapidGrowth
+	class := ClassSteady
+	switch {
+	case src.Bernoulli(cfg.InitialGrowthFrac):
+		class = ClassInitialGrowth
+	case src.Bernoulli(cfg.RapidGrowthFrac / (1 - cfg.InitialGrowthFrac)):
+		class = ClassRapidGrowth
+	}
+
+	usage := make([]float64, g.samples)
+	usage[0] = src.UniformRange(cfg.StartDiskGB[g.edition][0], cfg.StartDiskGB[g.edition][1])
+
+	// Initial growth lands in the very first 5-minute sample so the
+	// paper's ">12GB within the first five minutes" label fires; the
+	// remainder spreads over the first 30 minutes.
+	var initialTotal float64
+	if class == ClassInitialGrowth {
+		rg := cfg.InitialGrowthRangeGB[g.edition]
+		initialTotal = src.UniformRange(rg[0]+1, rg[1])
+	}
+	var spike float64
+	spikeHour := 0
+	if class == ClassRapidGrowth {
+		rg := cfg.RapidSpikeRangeGB[g.edition]
+		spike = src.UniformRange(rg[0], rg[1])
+		// Each ETL pipeline runs at its own hour; starting all spikes at
+		// hour 0 would collide with the creation instant and masquerade
+		// as initial-creation growth.
+		spikeHour = 1 + src.Intn(23)
+	}
+
+	for s := 1; s < g.samples; s++ {
+		elapsed := time.Duration(s) * cfg.Interval
+		h := hourAt(elapsed)
+		delta := src.Normal(g.meanPerSample[h], g.noise)
+
+		if class == ClassInitialGrowth {
+			if elapsed <= 5*time.Minute {
+				delta += initialTotal * 0.7 // bulk of the restore hits immediately
+			} else if elapsed <= 30*time.Minute {
+				remaining := initialTotal * 0.3
+				steps := float64((30*time.Minute - 5*time.Minute) / cfg.Interval)
+				delta += remaining / steps
 			}
-
-			start := src.UniformRange(cfg.StartDiskGB[e][0], cfg.StartDiskGB[e][1])
-			usage := make([]float64, samples)
-			usage[0] = start
-
-			// Initial growth lands in the very first 5-minute sample so
-			// the paper's ">12GB within the first five minutes" label
-			// fires; the remainder spreads over the first 30 minutes.
-			var initialTotal float64
-			if class == ClassInitialGrowth {
-				rg := cfg.InitialGrowthRangeGB[e]
-				initialTotal = src.UniformRange(rg[0]+1, rg[1])
+		}
+		if class == ClassRapidGrowth {
+			// Daily cycle: load new data for an hour, age out old data
+			// three hours later.
+			switch h {
+			case spikeHour:
+				delta += spike / g.perHour
+			case (spikeHour + 3) % 24:
+				delta -= spike / g.perHour
 			}
-			var spike float64
-			spikeHour := 0
-			if class == ClassRapidGrowth {
-				rg := cfg.RapidSpikeRangeGB[e]
-				spike = src.UniformRange(rg[0], rg[1])
-				// Each ETL pipeline runs at its own hour; starting all
-				// spikes at hour 0 would collide with the creation
-				// instant and masquerade as initial-creation growth.
-				spikeHour = 1 + src.Intn(23)
-			}
+		}
 
-			for s := 1; s < samples; s++ {
-				t := Epoch.Add(time.Duration(s) * cfg.Interval)
-				meanPerSample := cfg.SteadyMeanGBPerHour[e] * diurnal(t.Hour()) / perHour
-				delta := src.Normal(meanPerSample, cfg.SteadyNoiseGB[e])
-
-				if class == ClassInitialGrowth {
-					elapsed := time.Duration(s) * cfg.Interval
-					if elapsed <= 5*time.Minute {
-						delta += initialTotal * 0.7 // bulk of the restore hits immediately
-					} else if elapsed <= 30*time.Minute {
-						remaining := initialTotal * 0.3
-						steps := float64((30*time.Minute - 5*time.Minute) / cfg.Interval)
-						delta += remaining / steps
-					}
-				}
-				if class == ClassRapidGrowth {
-					// Daily cycle: load new data for an hour, age out old
-					// data three hours later.
-					h := t.Hour()
-					switch h {
-					case spikeHour:
-						delta += spike / perHour
-					case (spikeHour + 3) % 24:
-						delta -= spike / perHour
-					}
-				}
-
-				usage[s] = usage[s-1] + delta
-				if usage[s] < 0 {
-					usage[s] = 0
-				}
-			}
-			out = append(out, DBTrace{
-				DB:       name,
-				Edition:  e,
-				Created:  Epoch,
-				Interval: cfg.Interval,
-				UsageGB:  usage,
-				Class:    class,
-			})
+		usage[s] = usage[s-1] + delta
+		if usage[s] < 0 {
+			usage[s] = 0
 		}
 	}
-	return out
+	return DBTrace{
+		DB:       name,
+		Edition:  g.edition,
+		Created:  Epoch,
+		Interval: cfg.Interval,
+		UsageGB:  usage,
+		Class:    class,
+	}
 }
 
 // UtilizationPoint is one database's average CPU and memory utilization

@@ -76,29 +76,55 @@ type DiskTraining struct {
 func TrainDisk(traces []trace.DBTrace, edition slo.Edition, opts DiskTrainingOptions) *DiskTraining {
 	dt := &DiskTraining{Edition: edition, Opts: opts}
 
-	steadyByBucket := make(map[models.HourBucket][]float64)
+	// A first pass counts each hourly training set so the second
+	// allocates each once, at its final size: grown by append, the sets
+	// were most of training's allocation and raised the peak heap of
+	// every process that trains.
+	var sizes [2][24]int
+	var deltas []float64
+	for i := range traces {
+		tr := &traces[i]
+		if tr.Edition != edition {
+			continue
+		}
+		deltas = tr.AppendDeltas(deltas[:0], opts.DeltaPeriod)
+		eachSteady(tr, deltas, opts, func(weekend, hour int, _ float64) {
+			sizes[weekend][hour]++
+		})
+	}
+	// steadyByBucket[weekend][hour] is one hourly training set.
+	var steadyByBucket [2][24][]float64
+	nSteady := 0
+	for w := range sizes {
+		for h, n := range sizes[w] {
+			steadyByBucket[w][h] = make([]float64, 0, n)
+			nSteady += n
+		}
+	}
+	dt.SteadyDeltas = make([]float64, 0, nSteady)
+
 	var initialTotals []float64
 	var spikeMagnitudes []float64
 	var increaseDurs, betweenDurs, decreaseDurs []time.Duration
+	totalDeltas := 0
 
-	totalDeltas, steadyDeltas := 0, 0
-
-	for _, tr := range traces {
+	for i := range traces {
+		tr := &traces[i]
 		if tr.Edition != edition {
 			continue
 		}
 		dt.TotalDBs++
 
 		// --- Initial-creation labeling: growth in the first 5 minutes.
-		fiveMinGrowth := growthWithin(tr, 5*time.Minute)
-		isInitial := fiveMinGrowth > opts.InitialGrowthLabelGB
+		isInitial := isInitialGrowth(tr, opts)
 		if isInitial {
 			dt.InitialDBs = append(dt.InitialDBs, tr.DB)
 			initialTotals = append(initialTotals, growthWithin(tr, opts.InitialWindow))
 		}
 
 		// --- Delta Disk Usage at the paper's discretization.
-		deltas := tr.Deltas(opts.DeltaPeriod)
+		deltas = tr.AppendDeltas(deltas[:0], opts.DeltaPeriod)
+		totalDeltas += len(deltas)
 
 		// --- Rapid-growth labeling: repeated spike/drop cycles.
 		cycles, inc, between, dec := detectCycles(deltas, opts.DeltaPeriod, opts.SpikeThresholdGB)
@@ -111,37 +137,27 @@ func TrainDisk(traces []trace.DBTrace, edition slo.Edition, opts DiskTrainingOpt
 			decreaseDurs = append(decreaseDurs, dec...)
 		}
 
-		// --- Steady training set: deltas below the spike threshold,
-		// excluding the initial window of high-initial-growth databases.
-		skipInitial := 0
-		if isInitial {
-			skipInitial = int(opts.InitialWindow / opts.DeltaPeriod)
-		}
-		for i, d := range deltas {
-			totalDeltas++
-			if i < skipInitial || math.Abs(d) > opts.SpikeThresholdGB {
-				continue
-			}
-			steadyDeltas++
-			t := tr.Created.Add(time.Duration(i+1) * opts.DeltaPeriod)
-			b := models.BucketOf(t)
-			steadyByBucket[b] = append(steadyByBucket[b], d)
+		// --- Steady training set.
+		eachSteady(tr, deltas, opts, func(weekend, hour int, d float64) {
+			steadyByBucket[weekend][hour] = append(steadyByBucket[weekend][hour], d)
 			dt.SteadyDeltas = append(dt.SteadyDeltas, d)
-		}
+		})
 	}
 
 	if totalDeltas > 0 {
-		dt.SteadyFraction = float64(steadyDeltas) / float64(totalDeltas)
+		dt.SteadyFraction = float64(nSteady) / float64(totalDeltas)
 	}
 
 	// --- Fit the hourly normal steady model.
 	steady := models.NewHourlyNormal()
-	for b, xs := range steadyByBucket {
-		np, err := stats.FitNormal(xs)
-		if err != nil {
-			continue
+	for w := range steadyByBucket {
+		for h, xs := range steadyByBucket[w] {
+			np, err := stats.FitNormal(xs)
+			if err != nil {
+				continue
+			}
+			steady.Set(models.HourBucket{Weekend: w == 1, Hour: h}, models.NormalParam{Mean: np.Mean, Sigma: np.Sigma})
 		}
-		steady.Set(b, models.NormalParam{Mean: np.Mean, Sigma: np.Sigma})
 	}
 
 	model := &models.DiskUsageModel{
@@ -176,8 +192,73 @@ func TrainDisk(traces []trace.DBTrace, edition slo.Edition, opts DiskTrainingOpt
 	return dt
 }
 
+// isInitialGrowth labels a database "High Initial Growth" from its growth
+// in the first five minutes.
+func isInitialGrowth(tr *trace.DBTrace, opts DiskTrainingOptions) bool {
+	return growthWithin(tr, 5*time.Minute) > opts.InitialGrowthLabelGB
+}
+
+// eachSteady calls fn with the hour bucket and value of each steady-state
+// delta of one trace, in order: the deltas within the spike threshold,
+// outside the initial window of a high-initial-growth database.
+func eachSteady(tr *trace.DBTrace, deltas []float64, opts DiskTrainingOptions, fn func(weekend, hour int, d float64)) {
+	skip := 0
+	if isInitialGrowth(tr, opts) {
+		skip = int(opts.InitialWindow / opts.DeltaPeriod)
+	}
+	clock := newWeekClock(tr.Created, opts.DeltaPeriod)
+	for i, d := range deltas {
+		if i < skip || math.Abs(d) > opts.SpikeThresholdGB {
+			continue
+		}
+		weekend, hour := clock.bucket(i + 1)
+		fn(weekend, hour, d)
+	}
+}
+
+// weekClock gives the hour bucket of start + k*step. A UTC week is
+// exactly 168 hours, so in UTC the bucket follows from integer
+// arithmetic on the offset into the week; other locations may shift
+// with daylight saving and go through models.BucketOf.
+type weekClock struct {
+	start time.Time
+	step  time.Duration
+	utc   bool
+	// sinceSunday is start's offset from the preceding Sunday 00:00 UTC.
+	sinceSunday time.Duration
+}
+
+func newWeekClock(start time.Time, step time.Duration) weekClock {
+	c := weekClock{start: start, step: step, utc: start.Location() == time.UTC}
+	if c.utc {
+		hour, minute, sec := start.Clock()
+		c.sinceSunday = time.Duration(start.Weekday())*24*time.Hour +
+			time.Duration(hour)*time.Hour + time.Duration(minute)*time.Minute +
+			time.Duration(sec)*time.Second + time.Duration(start.Nanosecond())
+	}
+	return c
+}
+
+// bucket returns the weekend index (0 weekday, 1 weekend) and hour of
+// start + k*step.
+func (c weekClock) bucket(k int) (weekend, hour int) {
+	if !c.utc {
+		b := models.BucketOf(c.start.Add(time.Duration(k) * c.step))
+		if b.Weekend {
+			weekend = 1
+		}
+		return weekend, b.Hour
+	}
+	const day, week = 24 * time.Hour, 7 * 24 * time.Hour
+	off := (c.sinceSunday + time.Duration(k)*c.step) % week
+	if wd := off / day; wd == 0 || wd == 6 {
+		weekend = 1
+	}
+	return weekend, int(off % day / time.Hour)
+}
+
 // growthWithin returns the usage growth of a trace within d of creation.
-func growthWithin(tr trace.DBTrace, d time.Duration) float64 {
+func growthWithin(tr *trace.DBTrace, d time.Duration) float64 {
 	idx := int(d / tr.Interval)
 	if idx <= 0 || idx >= len(tr.UsageGB) {
 		return 0

@@ -286,3 +286,28 @@ func TestEquiProbableBinsSortedInModel(t *testing.T) {
 		t.Errorf("bins not sorted: %+v", bins)
 	}
 }
+
+// TestWeekClockMatchesBucketOf checks the integer week arithmetic against
+// models.BucketOf over two weeks of steps from starts at odd offsets into
+// the week, in UTC and (through the fallback) in other locations.
+func TestWeekClockMatchesBucketOf(t *testing.T) {
+	starts := []time.Time{
+		trace.Epoch,
+		time.Date(2020, time.June, 6, 23, 47, 13, 500, time.UTC),  // Saturday night
+		time.Date(2020, time.June, 7, 0, 0, 0, 1, time.UTC),       // just after Sunday midnight
+		time.Date(2019, time.December, 31, 12, 5, 0, 0, time.UTC), // year boundary
+		time.Date(2020, time.June, 5, 22, 30, 0, 0, time.FixedZone("UTC+5:30", 5*3600+1800)),
+	}
+	for _, start := range starts {
+		for _, step := range []time.Duration{7 * time.Minute, 20 * time.Minute, time.Hour, 90 * time.Minute} {
+			c := newWeekClock(start, step)
+			for k := 0; k <= int(14*24*time.Hour/step); k++ {
+				b := models.BucketOf(start.Add(time.Duration(k) * step))
+				w, h := c.bucket(k)
+				if (w == 1) != b.Weekend || h != b.Hour {
+					t.Fatalf("start %v step %v k %d: weekClock (%d, %d), BucketOf %+v", start, step, k, w, h, b)
+				}
+			}
+		}
+	}
+}
